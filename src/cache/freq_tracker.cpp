@@ -14,6 +14,7 @@ void FreqTracker::reset() {
   counts_.assign(counts_.size(), 0.0);
   since_decay_ = 0;
   total_ = 0;
+  decays_ = 0;
 }
 
 }  // namespace skp

@@ -15,6 +15,14 @@
 
 namespace skp {
 
+// Sub-arbitration (Section 5.2): how victims with equal Pr are ordered.
+//   * None — lowest item id (deterministic).
+//   * LFU  — least frequently used (score freq_i).
+//   * DS   — lowest delay-saving profit freq_i * r_i (WATCHMAN-style).
+// Declared beside the tracker that supplies the scores so the slot
+// cache can key its victim order by them (cache/cache.hpp).
+enum class SubArbitration { None, LFU, DS };
+
 class FreqTracker {
  public:
   // Tracks items 0..n-1. decay in (0, 1]: counts are multiplied by `decay`
@@ -36,6 +44,7 @@ class FreqTracker {
     ++total_;
     if (decay_ < 1.0 && ++since_decay_ >= decay_interval_) {
       since_decay_ = 0;
+      ++decays_;
       for (auto& c : counts_) c *= decay_;
     }
   }
@@ -54,11 +63,29 @@ class FreqTracker {
     return frequency(item) * retrieval_time;
   }
 
+  // Sub-arbitration score of `item`: 0 (None), freq (LFU) or freq * r
+  // (DS), with `retrieval_time` = r_item supplied by the caller. Every
+  // victim ranking in the library reads its tie-break through here.
+  double sub_score(SubArbitration sub, ItemId item,
+                   double retrieval_time) const {
+    switch (sub) {
+      case SubArbitration::LFU: return frequency(item);
+      case SubArbitration::DS:
+        return delay_saving_profit(item, retrieval_time);
+      case SubArbitration::None: return 0.0;
+    }
+    return 0.0;  // unreachable
+  }
+
   // Raw count row (indexed by item id), for bulk SIMD gathers over many
   // items at once (util/simd.hpp): counts()[i] == frequency(i).
   std::span<const double> counts() const noexcept { return counts_; }
 
   std::uint64_t total_accesses() const noexcept { return total_; }
+
+  // Number of decay passes applied so far (each rescales every count,
+  // which can create or break score ties).
+  std::uint64_t decays() const noexcept { return decays_; }
 
   void reset();
 
@@ -68,6 +95,7 @@ class FreqTracker {
   std::uint64_t decay_interval_;
   std::uint64_t since_decay_ = 0;
   std::uint64_t total_ = 0;
+  std::uint64_t decays_ = 0;
 };
 
 }  // namespace skp

@@ -11,49 +11,12 @@ ItemId choose_victim(InstanceView inst, std::span<const ItemId> cached,
   SKP_REQUIRE(!cached.empty(), "choose_victim over empty cache");
   SKP_REQUIRE(cfg.sub == SubArbitration::None || freq != nullptr,
               "sub-arbitration requires a FreqTracker");
-  if (cfg.sub == SubArbitration::None) {
-    // Fast path (every demand miss lands here under the paper's default):
-    // plain (Pr, id) minimum, no score indirection. The Pr products are
-    // bulk-gathered a chunk at a time (util/simd.hpp — each lane an exact
-    // IEEE multiply), then the minimum scan runs over the chunk in the
-    // original ascending-k order, so the winner matches the one-at-a-time
-    // loop bit-for-bit. All sub scores are 0, so ties fall straight
-    // through to the id rule of the general loop.
-    constexpr std::size_t kChunk = 64;
-    double pr_buf[kChunk];
-    ItemId victim = kNoItem;
-    double victim_pr = 0.0;
-    for (std::size_t base = 0; base < cached.size(); base += kChunk) {
-      const std::size_t len = std::min(kChunk, cached.size() - base);
-      simd::gather_products(inst.P, inst.r, cached.subspan(base, len),
-                            pr_buf);
-      for (std::size_t j = 0; j < len; ++j) {
-        const ItemId i = cached[base + j];
-        if (victim == kNoItem || pr_buf[j] < victim_pr ||
-            (pr_buf[j] == victim_pr && i < victim)) {
-          victim = i;
-          victim_pr = pr_buf[j];
-        }
-      }
-    }
-    return victim;
-  }
-  auto sub_score = [&](ItemId i) {
-    switch (cfg.sub) {
-      case SubArbitration::LFU:
-        return freq->frequency(i);
-      case SubArbitration::DS:
-        return freq->delay_saving_profit(i, inst.r[InstanceView::idx(i)]);
-      case SubArbitration::None:
-        return 0.0;
-    }
-    return 0.0;  // unreachable
-  };
-  // Sub-arbitrated path: the Pr products still bulk-gather (the dominant
-  // per-item cost); sub scores stay lazy — computed only when an item
-  // becomes the running minimum or ties it, exactly when the one-at-a-
-  // time loop computed them. Every score is an exact IEEE load or single
-  // product, so the winner matches that loop bit-for-bit.
+  // The Pr products are bulk-gathered a chunk at a time (util/simd.hpp —
+  // each lane an exact IEEE multiply), then the minimum scan runs over
+  // the chunk in the original ascending-k order. Sub scores stay lazy:
+  // computed only when an item becomes the running minimum or ties it.
+  // Every score is an exact IEEE load or single product, so the winner
+  // matches the one-at-a-time loop bit for bit.
   constexpr std::size_t kChunk = 64;
   double pr_buf[kChunk];
   ItemId victim = kNoItem;
@@ -69,16 +32,41 @@ ItemId choose_victim(InstanceView inst, std::span<const ItemId> cached,
       if (victim == kNoItem || pr < victim_pr) {
         victim = i;
         victim_pr = pr;
-        victim_sub = sub_score(i);
+        victim_sub = sub_score(inst, freq, cfg.sub, i);
         continue;
       }
       if (pr > victim_pr) continue;
       // Pr tie: sub-arbitration, then lowest id for determinism.
-      const double s = sub_score(i);
+      const double s = sub_score(inst, freq, cfg.sub, i);
       if (s < victim_sub || (s == victim_sub && i < victim)) {
         victim = i;
         victim_sub = s;
       }
+    }
+  }
+  return victim;
+}
+
+ItemId choose_victim(InstanceView inst, const SlotCache& cache,
+                     const FreqTracker* freq, const ArbitrationConfig& cfg) {
+  SKP_REQUIRE(inst.n() == cache.presence().size(),
+              "catalog of " << inst.n() << " items vs cache catalog of "
+                            << cache.presence().size());
+  if (!cache.order_keyed_for(cfg.sub, freq, inst.r)) {
+    return choose_victim(inst, cache.contents(), freq, cfg);
+  }
+  SKP_REQUIRE(!cache.empty(), "choose_victim over empty cache");
+  // Walking ascending (sub, id): a Pr tie keeps the earlier item, which
+  // is exactly the (Pr, sub, id) tie chain.
+  ItemId victim = kNoItem;
+  double victim_pr = 0.0;
+  for (const ItemId d : cache.victim_order()) {
+    const std::size_t di = InstanceView::idx(d);
+    const double pr = inst.P[di] * inst.r[di];
+    if (pr == 0.0) return d;
+    if (victim == kNoItem || pr < victim_pr) {
+      victim = d;
+      victim_pr = pr;
     }
   }
   return victim;
@@ -127,24 +115,14 @@ void gather_victims_by_density_into(InstanceView inst,
     return;
   }
   pool.assign(cache.contents().begin(), cache.contents().end());
-  auto sub_score = [&](ItemId i) {
-    switch (cfg.sub) {
-      case SubArbitration::LFU:
-        return freq->frequency(i);
-      case SubArbitration::DS:
-        return freq->delay_saving_profit(i, inst.r[InstanceView::idx(i)]);
-      case SubArbitration::None:
-        return 0.0;
-    }
-    return 0.0;
-  };
   auto density = [&](ItemId i) {
     return inst.profit(i) / cache.size_of(i);
   };
   std::sort(pool.begin(), pool.end(), [&](ItemId a, ItemId b) {
     const double da = density(a), db = density(b);
     if (da != db) return da < db;
-    const double sa = sub_score(a), sb = sub_score(b);
+    const double sa = sub_score(inst, freq, cfg.sub, a);
+    const double sb = sub_score(inst, freq, cfg.sub, b);
     if (sa != sb) return sa < sb;
     return a < b;
   });

@@ -35,16 +35,18 @@ struct PlanScratch {
   std::vector<ItemId> by_profit;
   std::vector<std::pair<ItemId, ItemId>> victim_of;  // (fetch, victim)
 
-  // Eviction candidates ranked once per planning round: Pr values and
-  // sub-arbitration scores are fixed while one plan is built, so
-  // consuming this ascending (Pr, sub, id) order left-to-right replays
-  // repeated minimal-Pr victim extraction exactly.
+  // Figure-6 victim arbitration. `ranked` holds the positive-Pr cached
+  // items the admission walk sets aside, ranked by ascending (Pr, sub, id)
+  // only if the zero-Pr items run out; `order` holds the zero-Pr items in
+  // (sub, id) order, built per call for caches that do not keep their
+  // victim order themselves (SlotCache::order_keyed_for).
   struct VictimRank {
     double pr;   // P_d * r_d
     double sub;  // sub-arbitration score (0 when sub == None)
     ItemId id;
   };
   std::vector<VictimRank> ranked;
+  std::vector<ItemId> order;
 
   // Figure-6 admission sort keys, staged once per round so the sort
   // comparator reads flat records instead of re-deriving P_f r_f (and the
@@ -56,11 +58,6 @@ struct PlanScratch {
     ItemId id;
   };
   std::vector<AdmitKey> admit_keys;
-
-  // Bulk-gather staging rows (util/simd.hpp): Pr products and
-  // sub-arbitration scores over the cached set, one lane per victim.
-  std::vector<double> gather_a;
-  std::vector<double> gather_b;
 
   // Solver workspaces + reusable solution slots (their internal vectors
   // are cleared, not freed, between solves).

@@ -7,7 +7,6 @@
 #include "core/access_model.hpp"
 #include "core/kp_solver.hpp"
 #include "util/rng.hpp"
-#include "util/simd.hpp"
 
 namespace skp {
 
@@ -111,58 +110,58 @@ void profit_order_into(InstanceView inst, std::span<const ItemId> fetch,
   for (const auto& k : keys) out.push_back(k.id);
 }
 
-// Caches every cached item's eviction rank — (Pr, sub-arbitration score,
-// id) — for one planning round. The scores are fixed while one plan is
-// built, so victim k is simply the k-th smallest rank; extract_victim
-// pulls them lazily (selection-scan over the cached keys), which matches
-// repeated choose_victim + removal bit-for-bit while computing each Pr
-// product once instead of once per scan (the fixed-seed equivalence tests
-// pin the equality).
-void rank_victims(InstanceView inst, std::span<const ItemId> cached,
-                  const FreqTracker* freq, const ArbitrationConfig& cfg,
-                  PlanScratch& scratch) {
-  SKP_REQUIRE(cfg.sub == SubArbitration::None || freq != nullptr,
-              "sub-arbitration requires a FreqTracker");
-  std::vector<PlanScratch::VictimRank>& ranked = scratch.ranked;
-  ranked.clear();
-  if (cached.empty()) return;
-  // Bulk-gather the per-victim scores (util/simd.hpp). Every lane is an
-  // exact IEEE load or single product, so the ranks match the one-call-
-  // per-item loop bit-for-bit:
-  //   pr  = P_d * r_d               (all modes)
-  //   sub = freq_d                  (LFU: a plain gather)
-  //   sub = freq_d * r_d            (DS: delay_saving_profit)
-  scratch.gather_a.resize(cached.size());
-  simd::gather_products(inst.P, inst.r, cached, scratch.gather_a.data());
-  const double* sub = nullptr;
-  if (cfg.sub != SubArbitration::None) {
-    SKP_REQUIRE(freq->n() >= inst.n(),
-                "FreqTracker over " << freq->n()
-                                    << " items vs catalog of " << inst.n());
-    scratch.gather_b.resize(cached.size());
-    if (cfg.sub == SubArbitration::LFU) {
-      simd::gather_values(freq->counts(), cached, scratch.gather_b.data());
-    } else {
-      simd::gather_products(freq->counts(), inst.r, cached,
-                            scratch.gather_b.data());
-    }
-    sub = scratch.gather_b.data();
-  }
-  for (std::size_t k = 0; k < cached.size(); ++k) {
-    ranked.push_back(
-        {scratch.gather_a[k], sub != nullptr ? sub[k] : 0.0, cached[k]});
-  }
-}
-
 // Eviction order: ascending (Pr, sub score, id) — choose_victim's exact
 // tie chain. Ids are unique, so this is a TOTAL order: the k-th victim is
 // determined by the order alone, independent of the algorithm that
-// extracts it (admit_slot_into partial_sorts the consumable prefix).
+// extracts it.
 bool victim_rank_less(const PlanScratch::VictimRank& a,
                       const PlanScratch::VictimRank& b) {
   if (a.pr != b.pr) return a.pr < b.pr;
   if (a.sub != b.sub) return a.sub < b.sub;
   return a.id < b.id;
+}
+
+// Starts the Figure-6 victim walk: returns the order to walk and leaves
+// `scratch.ranked` holding the positive-Pr items met outside it. When the
+// cache keeps its (sub, id) victim order for this sub-arbitration
+// (SlotCache::order_keyed_for), that order is borrowed and `ranked` starts
+// empty. Otherwise the order is built here, per call: positive-Pr items
+// are ranked by (Pr, sub, id) wherever a walk would meet them, so they go
+// straight to `ranked`, and `scratch.order` gets the zero-Pr items, of
+// which only the first `need` (one per fetch candidate) are put in
+// (sub, id) order.
+std::span<const ItemId> start_victim_walk(InstanceView inst,
+                                          const SlotCache& cache,
+                                          const FreqTracker* freq,
+                                          SubArbitration sub,
+                                          std::size_t need,
+                                          PlanScratch& scratch) {
+  scratch.ranked.clear();
+  if (cache.order_keyed_for(sub, freq, inst.r)) return cache.victim_order();
+  SKP_REQUIRE(sub == SubArbitration::None || freq != nullptr,
+              "sub-arbitration requires a FreqTracker");
+  SKP_REQUIRE(sub == SubArbitration::None || freq->n() >= inst.n(),
+              "FreqTracker over " << freq->n() << " items vs catalog of "
+                                  << inst.n());
+  scratch.order.clear();
+  for (const ItemId c : cache.contents()) {
+    const std::size_t ci = InstanceView::idx(c);
+    const double pr = inst.P[ci] * inst.r[ci];
+    if (pr == 0.0) {
+      scratch.order.push_back(c);
+    } else {
+      scratch.ranked.push_back({pr, sub_score(inst, freq, sub, c), c});
+    }
+  }
+  const auto head = static_cast<std::ptrdiff_t>(
+      std::min(need, scratch.order.size()));
+  std::partial_sort(scratch.order.begin(), scratch.order.begin() + head,
+                    scratch.order.end(), [&](ItemId a, ItemId b) {
+                      const double sa = sub_score(inst, freq, sub, a);
+                      const double sb = sub_score(inst, freq, sub, b);
+                      return sa < sb || (sa == sb && a < b);
+                    });
+  return scratch.order;
 }
 
 // Engine-internal Eq.-(9) evaluation over the committed plan: the same
@@ -662,22 +661,28 @@ void PrefetchEngine::admit_slot_into(InstanceView inst,
   // uncontested. The Perfect oracle bypasses the admission test (it knows
   // its item is the next access) but still evicts the minimal-Pr victim.
   //
-  // Victim extraction: the eviction order is ascending (Pr, sub, id) with
-  // Pr = P_d r_d == 0 exactly when P_d == 0 (r is positive). Without
-  // sub-arbitration that order is "cached items with P == 0 by ascending
-  // id, then positive-Pr items by rank" — the zero-Pr group falls
-  // straight out of the cache's id-sorted index, so the common case
-  // (sparse P rows, few victims) never builds the O(|C|) ranking; only
-  // the positive-Pr tail ranks, and only if reached. LFU/DS tie-breaks
-  // depend on frequencies, so sub-arbitration keeps the full ranking.
+  // Victim extraction: the eviction order is ascending (Pr, sub, id).
+  // Zero-Pr items come first, among themselves in (sub, id) order — the
+  // state-independent victim order the cache maintains — so one cursor
+  // walks that order, handing out each zero-Pr item it meets and setting
+  // the positive-Pr ones (at most |support|) aside. Only if the zero-Pr
+  // items run out are the set-aside ones ranked by (Pr, sub, id); since
+  // that is a total order, the victim sequence equals repeated
+  // choose_victim + removal bit for bit.
   profit_order_into(inst, out.fetch, scratch.admit_keys, scratch.by_profit);
-  const bool fast_victims =
-      config_.arbitration.sub == SubArbitration::None;
-  const std::span<const ItemId> sorted = cache.sorted_contents();
-  std::size_t zero_cursor = 0;  // cursor over the id-sorted cached items
-  bool ranked_built = false;    // rank lazily: uncontested rounds skip it
-  std::size_t next_victim = 0;
+  const SubArbitration sub = config_.arbitration.sub;
   std::size_t free_slots = cache.capacity() - cache.size();
+  // Candidates past the free slots contest for victims; only then is the
+  // walk started.
+  const std::size_t contested =
+      scratch.by_profit.size() - std::min(free_slots, scratch.by_profit.size());
+  const std::span<const ItemId> order =
+      contested > 0
+          ? start_victim_walk(inst, cache, freq, sub, contested, scratch)
+          : std::span<const ItemId>{};
+  std::size_t cursor = 0;       // next unvisited position in `order`
+  bool zero_exhausted = false;  // every zero-Pr item has been handed out
+  std::size_t next_victim = 0;  // next ranked positive-Pr victim
   scratch.begin_epoch(inst.n());  // marks = committed membership
   scratch.victim_of.clear();
   for (ItemId f : scratch.by_profit) {
@@ -688,45 +693,29 @@ void PrefetchEngine::admit_slot_into(InstanceView inst,
     }
     double victim_pr = 0.0;
     ItemId victim_id = kNoItem;
-    if (fast_victims) {
-      while (zero_cursor < sorted.size() &&
-             inst.P[static_cast<std::size_t>(sorted[zero_cursor])] != 0.0) {
-        ++zero_cursor;
-      }
-      if (zero_cursor < sorted.size()) {
-        victim_id = sorted[zero_cursor++];  // Pr == 0, minimal id first
-      }
-    }
-    if (victim_id == kNoItem) {
-      if (!ranked_built) {
-        if (fast_victims) {
-          // Zero-Pr pool exhausted: rank the remaining (positive-Pr)
-          // cached items. Every zero-Pr item was already consumed, so
-          // restricting the ranking to P > 0 reproduces the tail of the
-          // full ranking exactly.
-          scratch.ranked.clear();
-          for (const ItemId c : sorted) {
-            const auto ci = static_cast<std::size_t>(c);
-            if (inst.P[ci] == 0.0) continue;
-            scratch.ranked.push_back({inst.P[ci] * inst.r[ci], 0.0, c});
-          }
-        } else {
-          rank_victims(inst, cache.contents(), freq, config_.arbitration,
-                       scratch);
+    if (!zero_exhausted) {
+      while (cursor < order.size()) {
+        const ItemId d = order[cursor++];
+        const std::size_t di = InstanceView::idx(d);
+        const double pr = inst.P[di] * inst.r[di];
+        if (pr == 0.0) {
+          victim_id = d;  // Pr == 0: next in (sub, id) order
+          break;
         }
-        // At most one victim per remaining fetch candidate can be
-        // consumed, so sorting that prefix replaces the per-victim
-        // selection scans of extract_victim — (pr, sub, id) is a total
-        // order (ids are unique), so ANY algorithm extracting ascending
-        // ranks yields the same victim sequence bit for bit.
-        const std::size_t need =
-            std::min(scratch.by_profit.size(), scratch.ranked.size());
+        scratch.ranked.push_back({pr, sub_score(inst, freq, sub, d), d});
+      }
+      if (victim_id == kNoItem) {
+        // At most one victim per contesting candidate can be consumed,
+        // so sorting that prefix of the positive-Pr ranks suffices.
+        zero_exhausted = true;
+        const std::size_t need = std::min(contested, scratch.ranked.size());
         std::partial_sort(scratch.ranked.begin(),
                           scratch.ranked.begin() +
                               static_cast<std::ptrdiff_t>(need),
                           scratch.ranked.end(), victim_rank_less);
-        ranked_built = true;
       }
+    }
+    if (victim_id == kNoItem) {
       if (next_victim >= scratch.ranked.size()) break;  // nothing to
                                                         // displace
       const PlanScratch::VictimRank& vr = scratch.ranked[next_victim];

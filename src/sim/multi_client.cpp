@@ -153,6 +153,7 @@ MultiClientResult run_multi_client(const MultiClientConfig& cfg) {
     const std::size_t n = cl.r.size();
     cl.cache = std::make_unique<SlotCache>(n, cfg.cache_size);
     cl.freq = std::make_unique<FreqTracker>(n);
+    cl.cache->key_order(cfg.engine.arbitration.sub, cl.freq.get(), cl.r);
     cl.completion.assign(n, 0.0);
     cl.unused_prefetch.assign(n, 0);
 
@@ -418,15 +419,14 @@ MultiClientResult run_multi_client(const MultiClientConfig& cfg) {
           if (me.predictor) {
             // The row in force this cycle arbitrates the demand victim —
             // the chainless analogue of the oracle path's next-state row.
-            d = choose_victim(InstanceView(me.P, me.r, v),
-                              me.cache->contents(), me.freq.get(),
-                              cfg.engine.arbitration);
+            d = choose_victim(InstanceView(me.P, me.r, v), *me.cache,
+                              me.freq.get(), cfg.engine.arbitration);
           } else {
             const auto s = static_cast<std::size_t>(next);
             const InstanceView now_inst(me.chain->transition_row(s), me.r,
                                         me.chain->viewing_time(s));
-            d = choose_victim(now_inst, me.cache->contents(),
-                              me.freq.get(), cfg.engine.arbitration);
+            d = choose_victim(now_inst, *me.cache, me.freq.get(),
+                              cfg.engine.arbitration);
           }
           if (me.unused_prefetch[Instance::idx(d)]) {
             ++me.metrics.wasted_prefetches;
@@ -444,7 +444,8 @@ MultiClientResult run_multi_client(const MultiClientConfig& cfg) {
         me.metrics.demand_network_time += rt;
         T = finish - t_req;
       }
-      me.freq->record(next);
+      me.cache->record_access(*me.freq, next);
+      SKP_ASSERT(me.cache->order_consistent());
       if (me.plans && volatile_plans) me.plans->bump_generation();
       if (me.predictor) me.predictor->observe(next);
       me.unused_prefetch[Instance::idx(next)] = 0;

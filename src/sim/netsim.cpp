@@ -63,6 +63,7 @@ ClientSession::ClientSession(
   SKP_REQUIRE(cat_->r.size() == cat_->n(),
               "catalog retrieval-time vector size mismatch");
   completion_.assign(cat_->n(), 0.0);
+  cache_.key_order(engine_.config().arbitration.sub, &freq_, cat_->r);
 }
 
 void ClientSession::enable_plan_cache(std::size_t capacity) {
@@ -223,8 +224,8 @@ double ClientSession::request(ItemId item, double viewing_time,
     // Demand fetch: waits behind every committed prefetch (the paper's
     // no-abort assumption) and must claim a victim when the cache is full.
     if (cache_.full()) {
-      const ItemId d = choose_victim(inst, cache_.contents(), &freq_,
-                                     engine_.config().arbitration);
+      const ItemId d =
+          choose_victim(inst, cache_, &freq_, engine_.config().arbitration);
       if (unused_prefetch_[Instance::idx(d)]) {
         ++metrics_.wasted_prefetches;
         unused_prefetch_[Instance::idx(d)] = 0;
@@ -243,7 +244,8 @@ double ClientSession::request(ItemId item, double viewing_time,
   }
   clock_.run_until(t_req + T);
 
-  freq_.record(item);
+  cache_.record_access(freq_, item);
+  SKP_ASSERT(cache_.order_consistent());
   // Under LFU/DS sub-arbitration the record above changes victim scores,
   // invalidating every stored plan that consulted them.
   if (plan_cache_ &&

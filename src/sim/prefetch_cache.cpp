@@ -219,6 +219,7 @@ PrefetchCacheResult run_prefetch_cache(const PrefetchCacheConfig& cfg,
 
   SlotCache cache(n, cfg.cache_size);
   FreqTracker freq(n);
+  cache.key_order(cfg.sub, &freq, source.retrieval_times());
   auto predictor = make_predictor(cfg.predictor, n);
 
   // Track which cached items were prefetched and never yet accessed so
@@ -382,7 +383,7 @@ PrefetchCacheResult run_prefetch_cache(const PrefetchCacheConfig& cfg,
     }
 
     // Serve the request: record frequency, learn, demand-fetch on miss.
-    freq.record(next);
+    cache.record_access(freq, next);
     if (predictor) predictor->observe(next);
     // The observation/record just invalidated every stored plan that
     // depended on predictor or frequency state — which is why the plan
@@ -407,8 +408,8 @@ PrefetchCacheResult run_prefetch_cache(const PrefetchCacheConfig& cfg,
           predictor->predict_into(scratch.P);
           next_inst.P = scratch.P;
         }
-        const ItemId d = choose_victim(next_inst, cache.contents(), &freq,
-                                       ecfg.arbitration);
+        const ItemId d =
+            choose_victim(next_inst, cache, &freq, ecfg.arbitration);
         if (unused_prefetch[InstanceView::idx(d)]) {
           if (counted) ++m.wasted_prefetches;
           unused_prefetch[InstanceView::idx(d)] = 0;
@@ -418,6 +419,7 @@ PrefetchCacheResult run_prefetch_cache(const PrefetchCacheConfig& cfg,
         cache.insert(next);
       }
     }
+    SKP_ASSERT(cache.order_consistent());
 
     // All cache mutations for this request are done: top the speculation
     // window back up against the now-final presence bitmap.
@@ -513,7 +515,8 @@ std::vector<PrefetchCacheResult> run_prefetch_cache_batch(
   std::deque<BatchLane> lanes;
   bool any_plan_cache = false;
   for (std::size_t i = 0; i < configs.size(); ++i) {
-    lanes.emplace_back(configs[i], n, &results[i]);
+    BatchLane& lane = lanes.emplace_back(configs[i], n, &results[i]);
+    lane.cache.key_order(lane.cfg.sub, &lane.freq, source.retrieval_times());
     any_plan_cache = any_plan_cache || configs[i].use_plan_cache;
   }
   // The canonical-order table depends only on the (shared) source rows,
@@ -636,7 +639,7 @@ std::vector<PrefetchCacheResult> run_prefetch_cache_batch(
         if (T > source.viewing_time(state)) ++lane.result->over_viewing_time;
       }
 
-      lane.freq.record(next);
+      cache.record_access(lane.freq, next);
       lane.unused_prefetch[InstanceView::idx(next)] = 0;
 
       if (!cache.contains(next)) {
@@ -648,9 +651,8 @@ std::vector<PrefetchCacheResult> run_prefetch_cache_batch(
         if (cache.full()) {
           const InstanceView next_inst =
               source.view_at(static_cast<std::size_t>(next));
-          const ItemId d =
-              choose_victim(next_inst, cache.contents(), &lane.freq,
-                            lane.engine->config().arbitration);
+          const ItemId d = choose_victim(next_inst, cache, &lane.freq,
+                                         lane.engine->config().arbitration);
           if (lane.unused_prefetch[InstanceView::idx(d)]) {
             if (counted) ++m.wasted_prefetches;
             lane.unused_prefetch[InstanceView::idx(d)] = 0;
@@ -660,6 +662,7 @@ std::vector<PrefetchCacheResult> run_prefetch_cache_batch(
           cache.insert(next);
         }
       }
+      SKP_ASSERT(cache.order_consistent());
     }
 
     state = static_cast<std::size_t>(next);

@@ -321,6 +321,7 @@ SimResult run_scenario_driver(const SimSpec& spec) {
       make_runtime_policy(spec.replacement, g.root.split(4).next_u64());
   SlotCache cache(n, spec.cache_size);
   FreqTracker freq(n);  // Pr-arbitration sub-score substrate
+  cache.key_order(spec.sub, &freq, r);
 
   EngineConfig ecfg;
   ecfg.policy = spec.policy;
@@ -422,7 +423,8 @@ SimResult run_scenario_driver(const SimSpec& spec) {
       access_with_policy(cache, *policy, item);
     }
     ++m.requests;
-    freq.record(item);
+    cache.record_access(freq, item);
+    SKP_ASSERT(cache.order_consistent());
     predictor->observe(item);
   }
   m.network_time = m.prefetch_network_time + m.demand_network_time;

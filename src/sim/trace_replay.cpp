@@ -47,6 +47,7 @@ SimMetrics replay_trace(const Trace& trace, const TraceReplayConfig& cfg,
 
   SlotCache cache(n, cfg.cache_size);
   FreqTracker freq(n);
+  cache.key_order(cfg.sub, &freq, trace.retrieval_times());
   auto predictor = make_trace_predictor(cfg.predictor, n);
 
   SimMetrics m;
@@ -122,7 +123,7 @@ SimMetrics replay_trace(const Trace& trace, const TraceReplayConfig& cfg,
       if (T == 0.0) ++m.hits;
     }
 
-    freq.record(rec.item);
+    cache.record_access(freq, rec.item);
     predictor->observe(rec.item);
     if (plans) plans->bump_generation();
     context = rec.item;
@@ -140,7 +141,7 @@ SimMetrics replay_trace(const Trace& trace, const TraceReplayConfig& cfg,
         predictor->predict_into(scratch.P);
         const InstanceView after(scratch.P, trace.retrieval_times(),
                                  rec.viewing_time);
-        const ItemId d = choose_victim(after, cache.contents(), &freq,
+        const ItemId d = choose_victim(after, cache, &freq,
                                        ecfg.arbitration);
         if (unused_prefetch[InstanceView::idx(d)]) {
           if (counted) ++m.wasted_prefetches;
@@ -151,6 +152,7 @@ SimMetrics replay_trace(const Trace& trace, const TraceReplayConfig& cfg,
         cache.insert(rec.item);
       }
     }
+    SKP_ASSERT(cache.order_consistent());
   }
   if (plans && plan_cache_stats) plan_cache_stats->plans = plans->stats();
   return m;

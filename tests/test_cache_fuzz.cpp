@@ -5,10 +5,13 @@
 // smoke-checks for collisions across all states the fuzz visits.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
+#include <vector>
 
 #include "cache/cache.hpp"
+#include "cache/freq_tracker.hpp"
 #include "cache/sized_cache.hpp"
 #include "test_util.hpp"
 #include "util/rng.hpp"
@@ -98,6 +101,112 @@ TEST(CacheFuzz, SlotCacheReplacePreservesInvariants) {
     ASSERT_FALSE(cache.contains(victim));
     ASSERT_EQ(cache.fingerprint(), model_fingerprint(model));
   }
+}
+
+// The victim order recomputed from scratch: cached items ascending by
+// (sub-arbitration score, id).
+std::vector<ItemId> reference_order(const std::set<ItemId>& model,
+                                    const FreqTracker& freq,
+                                    SubArbitration sub,
+                                    const std::vector<double>& r) {
+  std::vector<ItemId> out(model.begin(), model.end());
+  std::stable_sort(out.begin(), out.end(), [&](ItemId a, ItemId b) {
+    return freq.sub_score(sub, a, r[static_cast<std::size_t>(a)]) <
+           freq.sub_score(sub, b, r[static_cast<std::size_t>(b)]);
+  });
+  return out;
+}
+
+TEST(CacheFuzz, MaintainedVictimOrderMatchesFromScratchSort) {
+  const std::size_t catalog = 12;
+  const std::size_t capacity = 6;
+  for (const SubArbitration sub :
+       {SubArbitration::None, SubArbitration::LFU, SubArbitration::DS}) {
+    for (const double decay : {1.0, 0.5}) {
+      SCOPED_TRACE(::testing::Message() << "sub " << static_cast<int>(sub)
+                                      << " decay " << decay);
+      Rng rng(4242);
+      // Few distinct retrieval times, so DS scores tie often.
+      std::vector<double> r(catalog);
+      for (double& x : r) x = static_cast<double>(1 + rng.next_below(3));
+      FreqTracker freq(catalog, decay, /*decay_interval=*/7);
+      SlotCache cache(catalog, capacity);
+      cache.key_order(sub, &freq, r);
+      std::set<ItemId> model;
+      for (int op = 0; op < 4000; ++op) {
+        const auto item = static_cast<ItemId>(rng.next_below(catalog));
+        switch (rng.next_below(4)) {
+          case 0:  // insert (evicting a random resident when full)
+            if (model.count(item)) break;
+            if (model.size() == capacity) {
+              auto it = model.begin();
+              std::advance(it, static_cast<long>(rng.next_below(capacity)));
+              cache.replace(*it, item);
+              model.erase(it);
+            } else {
+              cache.insert(item);
+            }
+            model.insert(item);
+            break;
+          case 1:  // erase
+            if (!model.count(item)) break;
+            cache.erase(item);
+            model.erase(item);
+            break;
+          default:  // access: cached or not, decay passes included
+            cache.record_access(freq, item);
+            break;
+        }
+        ASSERT_TRUE(cache.order_keyed_for(sub, &freq, r));
+        ASSERT_TRUE(cache.order_consistent());
+        const std::span<const ItemId> order = cache.victim_order();
+        ASSERT_EQ(std::vector<ItemId>(order.begin(), order.end()),
+                  reference_order(model, freq, sub, r));
+      }
+      if (decay < 1.0) {
+        EXPECT_GT(freq.decays(), 0u);
+      }
+    }
+  }
+}
+
+TEST(CacheFuzz, VictimOrderResyncsAfterOutsideRecordsAndReset) {
+  const std::size_t catalog = 10;
+  std::vector<double> r(catalog, 2.0);
+  FreqTracker freq(catalog);
+  SlotCache cache(catalog, 4);
+  cache.key_order(SubArbitration::LFU, &freq, r);
+  for (const ItemId i : {3, 1, 7, 5}) cache.insert(i);
+  cache.record_access(freq, 7);
+  ASSERT_TRUE(cache.order_keyed_for(SubArbitration::LFU, &freq, r));
+  // A record that bypasses the cache makes the order untrusted (callers
+  // then build their own) until the next record_access rebuilds it.
+  freq.record(3);
+  freq.record(3);
+  EXPECT_FALSE(cache.order_keyed_for(SubArbitration::LFU, &freq, r));
+  EXPECT_TRUE(cache.order_consistent());
+  cache.record_access(freq, 1);
+  ASSERT_TRUE(cache.order_keyed_for(SubArbitration::LFU, &freq, r));
+  std::set<ItemId> model{1, 3, 5, 7};
+  auto order = cache.victim_order();
+  EXPECT_EQ(std::vector<ItemId>(order.begin(), order.end()),
+            reference_order(model, freq, SubArbitration::LFU, r));
+  // A churn reset (clear + FreqTracker::reset) resyncs at the next record.
+  cache.clear();
+  freq.reset();
+  cache.insert(5);
+  cache.insert(2);
+  EXPECT_FALSE(cache.order_keyed_for(SubArbitration::LFU, &freq, r));
+  cache.record_access(freq, 5);
+  EXPECT_TRUE(cache.order_keyed_for(SubArbitration::LFU, &freq, r));
+  order = cache.victim_order();
+  EXPECT_EQ(std::vector<ItemId>(order.begin(), order.end()),
+            (std::vector<ItemId>{2, 5}));
+  // The order answers only for the keying it was built with.
+  EXPECT_FALSE(cache.order_keyed_for(SubArbitration::None, &freq, r));
+  EXPECT_FALSE(cache.order_keyed_for(SubArbitration::DS, &freq, r));
+  FreqTracker other(catalog);
+  EXPECT_FALSE(cache.order_keyed_for(SubArbitration::LFU, &other, r));
 }
 
 TEST(CacheFuzz, SizedCacheMatchesAccountingModel) {

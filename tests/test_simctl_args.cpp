@@ -1,11 +1,15 @@
 // Tests for simctl's shared argument helpers (tools/simctl_args.hpp):
 // the numeric-axis grammar — including the regression for the
-// floating-point endpoint-skip bug — and the JSON spec-file lowering.
+// floating-point endpoint-skip bug — the JSON spec-file lowering, and the
+// output-path preflight.
 #include "simctl_args.hpp"
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
 #include <stdexcept>
+#include <unistd.h>
 
 namespace skp::simctl {
 namespace {
@@ -219,6 +223,45 @@ TEST(SimctlSpecFile, RejectsBadDocuments) {
                std::invalid_argument);
   EXPECT_THROW(spec_file_to_flags(R"({"shard": 2})"),
                std::invalid_argument);
+}
+
+// Regression: `--csv /missing/dir/out.csv` used to run the whole sweep
+// and only then die opening the file. The preflight runs first: missing
+// directories are created, unwritable targets throw OutputPathError.
+TEST(SimctlOutputPath, PreflightCreatesMissingDirectoriesOrFailsFast) {
+  namespace fs = std::filesystem;
+  const fs::path root = fs::path(::testing::TempDir()) /
+                        ("simctl_out_" + std::to_string(::getpid()));
+  fs::remove_all(root);
+
+  // A file target under missing directories: the directories appear, the
+  // probe leaves no file behind.
+  const fs::path csv = root / "a" / "b" / "out.csv";
+  ASSERT_NO_THROW(prepare_output_file(csv.string()));
+  EXPECT_TRUE(fs::is_directory(csv.parent_path()));
+  EXPECT_FALSE(fs::exists(csv));
+
+  // An existing file is left as it is.
+  std::ofstream(csv) << "kept\n";
+  ASSERT_NO_THROW(prepare_output_file(csv.string()));
+  std::ifstream in(csv);
+  std::string line;
+  std::getline(in, line);
+  EXPECT_EQ(line, "kept");
+
+  // A preset directory, nested and missing.
+  const fs::path dir = root / "preset" / "fig7";
+  ASSERT_NO_THROW(prepare_output_dir(dir.string()));
+  EXPECT_TRUE(fs::is_directory(dir));
+
+  // Targets that cannot be written fail with the typed error.
+  EXPECT_THROW(prepare_output_file(dir.string()), OutputPathError);
+  EXPECT_THROW(prepare_output_file((csv / "below_a_file.csv").string()),
+               OutputPathError);
+  EXPECT_THROW(prepare_output_dir(csv.string()), OutputPathError);
+  EXPECT_THROW(prepare_output_dir((csv / "sub").string()), OutputPathError);
+
+  fs::remove_all(root);
 }
 
 }  // namespace

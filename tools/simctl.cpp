@@ -156,7 +156,9 @@ run flags (sweep axes; comma lists, numeric axes accept LO:HI:STEP):
 run flags (execution):
   --spec FILE            JSON sweep definition (base/axes/shard/csv/threads)
   --shard I/N            run only the specs with index % N == I
-  --csv PATH             write CSV to PATH instead of stdout
+  --csv PATH             write CSV to PATH instead of stdout (output
+                         paths are checked, and missing directories
+                         created, before anything runs)
   --per-client-csv PATH  multi_client driver: companion CSV with one row
                          per (spec, client); shard companions merge like
                          the main document (simctl merge)
@@ -669,6 +671,11 @@ int run_command(const std::vector<std::string>& args) {
       }
     }
   }
+
+  // Output targets are checked before anything runs: a bad path must not
+  // cost a finished sweep.
+  if (csv_path) simctl::prepare_output_file(*csv_path);
+  if (per_client_csv_path) simctl::prepare_output_file(*per_client_csv_path);
 
   // Shard selection keeps (index, spec) pairs so rows carry their global
   // index into the merge.

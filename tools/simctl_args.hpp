@@ -8,6 +8,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -21,6 +23,42 @@ namespace skp::simctl {
 
 [[noreturn]] inline void bad_arg(const std::string& message) {
   throw std::invalid_argument(message);
+}
+
+// A CSV target that cannot be written. Raised by the preflight below,
+// before any simulation runs, so a typo costs milliseconds instead of a
+// finished sweep.
+struct OutputPathError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+// Creates `dir` (and missing parents) unless it exists; throws
+// OutputPathError when it cannot be created or is not a directory.
+inline void prepare_output_dir(const std::string& dir) {
+  std::error_code ec;
+  std::filesystem::create_directories(dir, ec);
+  if (!std::filesystem::is_directory(dir)) {
+    throw OutputPathError("cannot create output directory '" + dir + "'" +
+                          (ec ? ": " + ec.message() : std::string()));
+  }
+}
+
+// Makes sure `path` can be written as an output file: its directory is
+// created if missing, then the file is opened for append (and removed
+// again if the probe created it). Throws OutputPathError otherwise.
+inline void prepare_output_file(const std::string& path) {
+  namespace fs = std::filesystem;
+  const fs::path p(path);
+  if (p.has_parent_path()) prepare_output_dir(p.parent_path().string());
+  if (fs::is_directory(p)) {
+    throw OutputPathError("output path '" + path + "' is a directory");
+  }
+  const bool existed = fs::exists(p);
+  if (!std::ofstream(p, std::ios::app)) {
+    throw OutputPathError("cannot write output file '" + path + "'");
+  }
+  std::error_code ec;
+  if (!existed) fs::remove(p, ec);
 }
 
 inline std::vector<std::string> split(const std::string& value, char sep) {

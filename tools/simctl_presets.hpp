@@ -19,6 +19,7 @@
 
 #include "sim/runtime.hpp"
 #include "sim/sweep.hpp"
+#include "simctl_args.hpp"
 #include "util/csv.hpp"
 #include "util/thread_pool.hpp"
 
@@ -246,25 +247,29 @@ inline void preset_network_usage(const PresetArgs& args, ThreadPool& pool) {
 }  // namespace detail
 
 // Runs a named preset; throws std::invalid_argument on an unknown name
-// or a missing --csv directory.
+// or a missing --csv directory, and OutputPathError (before running
+// anything) when the directory cannot be created.
 inline void run_preset(const std::string& name, const PresetArgs& args) {
   if (args.csv_dir.empty()) {
     throw std::invalid_argument(
         "--preset emits figure-named CSV files; give --csv DIR");
   }
-  ThreadPool pool(args.threads);
+  void (*preset)(const PresetArgs&, ThreadPool&) = nullptr;
   if (name == "fig5") {
-    detail::preset_fig5(args, pool);
+    preset = detail::preset_fig5;
   } else if (name == "fig7") {
-    detail::preset_fig7(args, pool);
+    preset = detail::preset_fig7;
   } else if (name == "ablation_sizes") {
-    detail::preset_ablation_sizes(args, pool);
+    preset = detail::preset_ablation_sizes;
   } else if (name == "network_usage") {
-    detail::preset_network_usage(args, pool);
+    preset = detail::preset_network_usage;
   } else {
     throw std::invalid_argument("unknown preset '" + name + "' (" +
                                 preset_names() + ")");
   }
+  prepare_output_dir(args.csv_dir);
+  ThreadPool pool(args.threads);
+  preset(args, pool);
 }
 
 }  // namespace skp::simctl
