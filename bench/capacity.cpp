@@ -2,7 +2,7 @@
 // million-session goal.
 //
 // Counts live heap bytes through global operator new/delete and reports
-// how much one session costs in three configurations:
+// how much one session costs in these configurations:
 //
 //   CAP_NetsimIdle_shared   N NetsimSteppers of ONE spec group sharing a
 //                           SharedCatalog (sizes, r, cycle script held
@@ -12,16 +12,22 @@
 //                           every session owns a full grounding — the
 //                           pre-catalog cost model, kept as the
 //                           reduction baseline.
-//   CAP_NetsimActive_shared the shared sessions after stepping, so the
-//                           predictor/plan-cache growth shows up.
+//   CAP_NetsimActive_<p>    shared sessions with predictor p (markov1,
+//                           lz78, ppm) after stepping, so predictor and
+//                           plan-cache growth show up, split into
+//                           predictor bytes (Predictor::footprint_bytes)
+//                           and the rest of the session.
+//   CAP_NetsimActive_shared the lz78 row under its original name.
 //   CAP_SkpdIdle            sessions resident in the sharded
 //                           SkpdSessionStore, store overhead included.
 //
 // Emits a google-benchmark-compatible JSON snapshot (counters only;
 // cpu_time is zero and skipped by the comparer) so compare_bench.py can
 // gate bytes_per_session growth against bench/BENCH_seed.json, and
-// enforces the headline acceptance in-process: shared idle sessions must
-// be at least 4x smaller than private ones, or the bench exits nonzero.
+// enforces two acceptances in-process, exiting nonzero on either: shared
+// idle sessions must be at least 4x smaller than private ones, and an
+// active markov1 session must stay below a quarter of the dense n x n
+// count matrix (n^2 * 8 bytes) its predictor used to allocate.
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
@@ -32,6 +38,7 @@
 #include <memory>
 #include <new>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/catalog.hpp"
@@ -104,6 +111,7 @@ struct Row {
   std::string name;
   double bytes_per_session = 0.0;
   double sessions_per_gb = 0.0;
+  double predictor_bytes_per_session = -1.0;  // < 0: not attributed
 };
 
 Row make_row(std::string name, std::size_t sessions, std::uint64_t bytes) {
@@ -131,6 +139,32 @@ skp::SimSpec capacity_spec(std::uint64_t seed) {
   return spec;
 }
 
+// Steps `sessions` shared-catalog sessions of `spec` forward `steps`
+// cycles each, so predictor tries, plan-cache tables and replay state
+// reach steady shape, and returns the per-session row: TOTAL live bytes
+// (idle footprint included) and, of those, the predictor's.
+Row measure_active(const std::string& name, const skp::SimSpec& spec,
+                   std::size_t sessions, std::size_t steps) {
+  const std::shared_ptr<const skp::SharedCatalog> catalog =
+      skp::SharedCatalog::acquire(spec);
+  std::vector<std::unique_ptr<skp::NetsimStepper>> pool;
+  pool.reserve(sessions);
+  const std::uint64_t before = live();
+  std::uint64_t predictor_bytes = 0;
+  for (std::size_t i = 0; i < sessions; ++i) {
+    pool.push_back(std::make_unique<skp::NetsimStepper>(spec, catalog));
+    skp::NetsimStepper& stepper = *pool.back();
+    for (std::size_t s = 0; s < steps && !stepper.done(); ++s) {
+      stepper.step();
+    }
+    predictor_bytes += stepper.predictor()->footprint_bytes();
+  }
+  Row row = make_row(name, sessions, live() - before);
+  row.predictor_bytes_per_session = static_cast<double>(predictor_bytes) /
+                                    static_cast<double>(sessions);
+  return row;
+}
+
 void write_json(std::ostream& out, const std::vector<Row>& rows) {
   out << "{\n \"context\": {\n"
       << "  \"executable\": \"capacity\",\n"
@@ -146,8 +180,12 @@ void write_json(std::ostream& out, const std::vector<Row>& rows) {
         << "   \"cpu_time\": 0.0,\n"
         << "   \"time_unit\": \"ns\",\n"
         << "   \"bytes_per_session\": " << r.bytes_per_session << ",\n"
-        << "   \"sessions_per_gb\": " << r.sessions_per_gb << "\n"
-        << "  }" << (i + 1 < rows.size() ? "," : "") << "\n";
+        << "   \"sessions_per_gb\": " << r.sessions_per_gb;
+    if (r.predictor_bytes_per_session >= 0.0) {
+      out << ",\n   \"predictor_bytes_per_session\": "
+          << r.predictor_bytes_per_session;
+    }
+    out << "\n  }" << (i + 1 < rows.size() ? "," : "") << "\n";
   }
   out << " ]\n}\n";
 }
@@ -203,17 +241,6 @@ int main(int argc, char** argv) {
     rows.push_back(
         make_row("CAP_NetsimIdle_shared", sessions, live() - before));
     idle_shared = rows.back().bytes_per_session;
-
-    // Active: run every session forward so predictor tries, plan-cache
-    // tables, and replay state reach steady shape. Reported bytes are
-    // TOTAL resident per active session (idle footprint included).
-    for (auto& stepper : pool) {
-      for (std::size_t s = 0; s < active_steps && !stepper->done(); ++s) {
-        stepper->step();
-      }
-    }
-    rows.push_back(
-        make_row("CAP_NetsimActive_shared", sessions, live() - before));
   }
 
   // Private idle: one spec group per session (distinct seeds), so each
@@ -246,9 +273,37 @@ int main(int argc, char** argv) {
     rows.push_back(make_row("CAP_SkpdIdle", sessions, live() - before));
   }
 
+  // Active sessions, attributed per predictor. The spec's own predictor
+  // (lz78) is also reported as CAP_NetsimActive_shared, the name the
+  // seed snapshot has tracked since before the split.
+  double markov_active = 0.0;
+  for (const auto& [kind, label] :
+       {std::pair{skp::PredictorKind::Markov1, "markov1"},
+        std::pair{skp::PredictorKind::Lz78, "lz78"},
+        std::pair{skp::PredictorKind::Ppm, "ppm"}}) {
+    skp::SimSpec s = spec;
+    s.predictor = kind;
+    rows.push_back(measure_active(std::string("CAP_NetsimActive_") + label,
+                                  s, sessions, active_steps));
+    if (kind == skp::PredictorKind::Markov1) {
+      markov_active = rows.back().bytes_per_session;
+    }
+    if (kind == spec.predictor) {
+      Row shared = rows.back();
+      shared.name = "CAP_NetsimActive_shared/" + std::to_string(sessions);
+      rows.push_back(shared);
+    }
+  }
+
   for (const Row& r : rows) {
-    std::fprintf(stderr, "%-32s %12.0f bytes/session %12.0f sessions/GB\n",
+    std::fprintf(stderr, "%-32s %12.0f bytes/session %12.0f sessions/GB",
                  r.name.c_str(), r.bytes_per_session, r.sessions_per_gb);
+    if (r.predictor_bytes_per_session >= 0.0) {
+      std::fprintf(stderr, "  (predictor %.0f, rest %.0f)",
+                   r.predictor_bytes_per_session,
+                   r.bytes_per_session - r.predictor_bytes_per_session);
+    }
+    std::fprintf(stderr, "\n");
   }
   const double reduction =
       idle_shared > 0.0 ? idle_private / idle_shared : 0.0;
@@ -273,6 +328,17 @@ int main(int argc, char** argv) {
                  "FAIL: idle shared session is only %.1fx smaller than "
                  "private (need >= 4x)\n",
                  reduction);
+    return 1;
+  }
+  // Sparse learned state: a stepped markov1 session, everything
+  // included, must undercut a quarter of the dense count matrix.
+  const double n = static_cast<double>(spec.workload.n_items);
+  const double dense_quarter = n * n * 8.0 / 4.0;
+  if (markov_active >= dense_quarter) {
+    std::fprintf(stderr,
+                 "FAIL: active markov1 session holds %.0f bytes, not below "
+                 "a quarter of the dense n^2 matrix (%.0f)\n",
+                 markov_active, dense_quarter);
     return 1;
   }
   return 0;

@@ -7,10 +7,9 @@
 namespace skp {
 
 DependencyGraph::DependencyGraph(std::size_t n, std::size_t window)
-    : n_(n), window_(window) {
+    : n_(n), window_(window), weight_(n) {
   SKP_REQUIRE(n > 0, "DependencyGraph over empty catalog");
   SKP_REQUIRE(window >= 1, "window must be >= 1");
-  weight_.assign(n, std::vector<std::uint64_t>(n, 0));
   accesses_.assign(n, 0);
 }
 
@@ -20,9 +19,7 @@ void DependencyGraph::observe(ItemId item) {
   const auto i = static_cast<std::size_t>(item);
   // Every item accessed within the preceding window gains an arc to `item`.
   for (ItemId prev : recent_) {
-    if (prev != item) {
-      ++weight_[static_cast<std::size_t>(prev)][i];
-    }
+    if (prev != item) weight_.add(static_cast<std::size_t>(prev), item);
   }
   ++accesses_[i];
   recent_.push_back(item);
@@ -39,18 +36,21 @@ void DependencyGraph::predict_into(std::vector<double>& out) const {
   }
   const auto row = static_cast<std::size_t>(last_);
   std::uint64_t total = 0;
-  for (std::size_t j = 0; j < n_; ++j) total += weight_[row][j];
+  weight_.for_each(row, [&](ItemId, std::uint64_t w) { total += w; });
   if (total == 0) {
     std::fill(p.begin(), p.end(), 1.0 / static_cast<double>(n_));
     return;
   }
-  for (std::size_t j = 0; j < n_; ++j) {
-    p[j] = static_cast<double>(weight_[row][j]) / static_cast<double>(total);
-  }
+  // An absent arc's 0.0 / total is exactly 0.0.
+  std::fill(p.begin(), p.end(), 0.0);
+  weight_.for_each(row, [&](ItemId to, std::uint64_t w) {
+    p[static_cast<std::size_t>(to)] =
+        static_cast<double>(w) / static_cast<double>(total);
+  });
 }
 
 void DependencyGraph::reset() {
-  for (auto& row : weight_) std::fill(row.begin(), row.end(), 0);
+  weight_.clear();
   std::fill(accesses_.begin(), accesses_.end(), 0);
   recent_.clear();
   last_ = kNoItem;
@@ -59,7 +59,7 @@ void DependencyGraph::reset() {
 std::uint64_t DependencyGraph::arc(ItemId a, ItemId b) const {
   SKP_REQUIRE(a >= 0 && static_cast<std::size_t>(a) < n_, "arc from");
   SKP_REQUIRE(b >= 0 && static_cast<std::size_t>(b) < n_, "arc to");
-  return weight_[static_cast<std::size_t>(a)][static_cast<std::size_t>(b)];
+  return weight_.count(static_cast<std::size_t>(a), b);
 }
 
 double DependencyGraph::arc_probability(ItemId a, ItemId b) const {

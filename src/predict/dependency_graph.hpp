@@ -3,7 +3,8 @@
 // The server-side web-prefetching scheme the paper cites as related work
 // [9]: a node per item, an arc a -> b weighted by how often b was accessed
 // within a lookahead window of w requests after a. The predicted P for the
-// next access is the normalized arc weight out of the current item.
+// next access is the normalized arc weight out of the current item. Arc
+// weights live in a sparse SuccessorCounts table (O(n + distinct arcs)).
 #pragma once
 
 #include <cstdint>
@@ -11,6 +12,7 @@
 #include <vector>
 
 #include "predict/predictor.hpp"
+#include "predict/successor_counts.hpp"
 
 namespace skp {
 
@@ -24,6 +26,10 @@ class DependencyGraph final : public Predictor {
   void predict_into(std::vector<double>& out) const override;
   std::size_t n_items() const override { return n_; }
   void reset() override;
+  std::size_t footprint_bytes() const noexcept override {
+    return weight_.footprint_bytes() +
+           accesses_.capacity() * sizeof(std::uint64_t);
+  }
 
   // Arc weight a -> b (diagnostics).
   std::uint64_t arc(ItemId a, ItemId b) const;
@@ -33,9 +39,9 @@ class DependencyGraph final : public Predictor {
  private:
   std::size_t n_;
   std::size_t window_;
-  std::vector<std::vector<std::uint64_t>> weight_;  // [from][to]
-  std::vector<std::uint64_t> accesses_;             // node access counts
-  std::deque<ItemId> recent_;                       // last `window_` items
+  SuccessorCounts weight_;               // from -> to
+  std::vector<std::uint64_t> accesses_;  // node access counts
+  std::deque<ItemId> recent_;            // last `window_` items
   ItemId last_ = kNoItem;
 };
 

@@ -64,18 +64,16 @@ void Lz78Predictor::predict_into(std::vector<double>& out) const {
     std::fill(p.begin(), p.end(), 1.0 / static_cast<double>(n_));
     return;
   }
-  // Order-0 backstop: smoothed marginal.
-  std::vector<double>& base = base_;
-  base.resize(n_);
+  // Order-0 backstop: smoothed marginal, computed where it is used.
   const double denom =
       static_cast<double>(total_) + static_cast<double>(n_);
-  for (std::size_t i = 0; i < n_; ++i) {
-    base[i] = (static_cast<double>(marginal_[i]) + 1.0) / denom;
-  }
+  const auto base = [&](std::size_t i) {
+    return (static_cast<double>(marginal_[i]) + 1.0) / denom;
+  };
 
   const Node& cur = nodes_[current_];
   if (cur.total == 0) {
-    p.assign(base.begin(), base.end());
+    for (std::size_t i = 0; i < n_; ++i) p[i] = base(i);
     return;
   }
 
@@ -90,7 +88,7 @@ void Lz78Predictor::predict_into(std::vector<double>& out) const {
         static_cast<double>(cur.total);
   }
   for (std::size_t i = 0; i < n_; ++i) {
-    p[i] += esc * base[i];
+    p[i] += esc * base(i);
   }
   // Normalize away fp residue.
   double sum = 0.0;

@@ -39,8 +39,7 @@ class Lz78Predictor final : public Predictor {
   std::size_t node_count() const noexcept { return nodes_.size(); }
   std::size_t phrase_count() const noexcept { return phrases_; }
   std::size_t current_depth() const noexcept { return depth_; }
-  // Heap bytes behind the trie (capacity bench).
-  std::size_t footprint_bytes() const noexcept {
+  std::size_t footprint_bytes() const noexcept override {
     return nodes_.capacity() * sizeof(Node) + edges_.footprint_bytes() +
            marginal_.capacity() * sizeof(std::uint64_t);
   }
@@ -73,8 +72,6 @@ class Lz78Predictor final : public Predictor {
   std::size_t phrases_ = 0;
   std::vector<std::uint64_t> marginal_;
   std::uint64_t total_ = 0;
-  // Order-0 backstop distribution, reused so predict_into never allocates.
-  mutable std::vector<double> base_;
 };
 
 }  // namespace skp

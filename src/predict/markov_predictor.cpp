@@ -1,14 +1,15 @@
 #include "predict/markov_predictor.hpp"
 
+#include <algorithm>
+
 #include "util/require.hpp"
 
 namespace skp {
 
 MarkovPredictor::MarkovPredictor(std::size_t n, double laplace)
-    : n_(n), laplace_(laplace) {
+    : n_(n), laplace_(laplace), counts_(n) {
   SKP_REQUIRE(n > 0, "MarkovPredictor over empty catalog");
   SKP_REQUIRE(laplace > 0.0, "laplace must be positive");
-  counts_.assign(n, std::vector<std::uint64_t>(n, 0));
   row_total_.assign(n, 0);
   marginal_.assign(n, 0);
 }
@@ -16,13 +17,12 @@ MarkovPredictor::MarkovPredictor(std::size_t n, double laplace)
 void MarkovPredictor::observe(ItemId item) {
   SKP_REQUIRE(item >= 0 && static_cast<std::size_t>(item) < n_,
               "item " << item << " out of range");
-  const auto i = static_cast<std::size_t>(item);
   if (last_ != kNoItem) {
     const auto p = static_cast<std::size_t>(last_);
-    ++counts_[p][i];
+    counts_.add(p, item);
     ++row_total_[p];
   }
-  ++marginal_[i];
+  ++marginal_[static_cast<std::size_t>(item)];
   ++total_;
   last_ = item;
 }
@@ -41,13 +41,17 @@ void MarkovPredictor::predict_into(std::vector<double>& out) const {
   const auto row = static_cast<std::size_t>(last_);
   const double denom = static_cast<double>(row_total_[row]) +
                        laplace_ * static_cast<double>(n_);
-  for (std::size_t i = 0; i < n_; ++i) {
-    out[i] = (static_cast<double>(counts_[row][i]) + laplace_) / denom;
-  }
+  // An unseen successor's (0 + laplace) / denom is exactly laplace / denom,
+  // so the fill is bit-equal to the count formula at a zero count.
+  std::fill(out.begin(), out.end(), laplace_ / denom);
+  counts_.for_each(row, [&](ItemId to, std::uint64_t c) {
+    out[static_cast<std::size_t>(to)] =
+        (static_cast<double>(c) + laplace_) / denom;
+  });
 }
 
 void MarkovPredictor::reset() {
-  for (auto& row : counts_) std::fill(row.begin(), row.end(), 0);
+  counts_.clear();
   std::fill(row_total_.begin(), row_total_.end(), 0);
   std::fill(marginal_.begin(), marginal_.end(), 0);
   total_ = 0;
@@ -57,8 +61,7 @@ void MarkovPredictor::reset() {
 std::uint64_t MarkovPredictor::count(ItemId prev, ItemId next) const {
   SKP_REQUIRE(prev >= 0 && static_cast<std::size_t>(prev) < n_, "prev");
   SKP_REQUIRE(next >= 0 && static_cast<std::size_t>(next) < n_, "next");
-  return counts_[static_cast<std::size_t>(prev)]
-                [static_cast<std::size_t>(next)];
+  return counts_.count(static_cast<std::size_t>(prev), next);
 }
 
 }  // namespace skp

@@ -1,9 +1,13 @@
 // First-order Markov predictor with Laplace smoothing.
+//
+// Transition counts live in a sparse SuccessorCounts table, so a session
+// pays for the transitions it has seen, not for n^2 counters.
 #pragma once
 
 #include <vector>
 
 #include "predict/predictor.hpp"
+#include "predict/successor_counts.hpp"
 
 namespace skp {
 
@@ -17,6 +21,11 @@ class MarkovPredictor final : public Predictor {
   void predict_into(std::vector<double>& out) const override;
   std::size_t n_items() const override { return n_; }
   void reset() override;
+  std::size_t footprint_bytes() const noexcept override {
+    return counts_.footprint_bytes() +
+           (row_total_.capacity() + marginal_.capacity()) *
+               sizeof(std::uint64_t);
+  }
 
   // Raw transition count prev -> next (tests / diagnostics).
   std::uint64_t count(ItemId prev, ItemId next) const;
@@ -25,7 +34,7 @@ class MarkovPredictor final : public Predictor {
  private:
   std::size_t n_;
   double laplace_;
-  std::vector<std::vector<std::uint64_t>> counts_;  // [prev][next]
+  SuccessorCounts counts_;  // prev -> next
   std::vector<std::uint64_t> row_total_;
   std::vector<std::uint64_t> marginal_;  // unconditioned access counts
   std::uint64_t total_ = 0;

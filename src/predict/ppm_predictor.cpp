@@ -9,23 +9,21 @@ namespace skp {
 PpmPredictor::PpmPredictor(std::size_t n, std::size_t order)
     : n_(n), order_(order) {
   SKP_REQUIRE(n > 0, "PpmPredictor over empty catalog");
-  SKP_REQUIRE(order >= 1 && order <= 8, "order must be in [1, 8]");
+  SKP_REQUIRE(order >= 1 && order <= kMaxOrder, "order must be in [1, 8]");
   tables_.resize(order);
   marginal_.assign(n, 0);
   excluded_.assign(n, 0);
 }
 
-std::uint64_t PpmPredictor::context_key(const std::deque<ItemId>& hist,
-                                        std::size_t len, std::size_t n) {
+std::uint64_t PpmPredictor::context_key(std::size_t len) const {
   // Base-(n+1) positional encoding of the last `len` items; 64 bits hold
   // order <= 8 over catalogs up to ~2^8 per symbol times n — for larger
   // catalogs collisions only blur counts, never break correctness. The
   // leading 1 also keeps every key nonzero, which Key64Map requires.
   std::uint64_t key = 1;  // leading 1 distinguishes lengths
-  const std::uint64_t base = static_cast<std::uint64_t>(n) + 1;
-  const std::size_t start = hist.size() - len;
-  for (std::size_t i = start; i < hist.size(); ++i) {
-    key = key * base + static_cast<std::uint64_t>(hist[i]) + 1;
+  const std::uint64_t base = static_cast<std::uint64_t>(n_) + 1;
+  for (std::size_t i = history_len_ - len; i < history_len_; ++i) {
+    key = key * base + static_cast<std::uint64_t>(history_[i]) + 1;
   }
   return key;
 }
@@ -34,9 +32,8 @@ void PpmPredictor::observe(ItemId item) {
   SKP_REQUIRE(item >= 0 && static_cast<std::size_t>(item) < n_,
               "item " << item << " out of range");
   // Update every context length that currently has enough history.
-  for (std::size_t len = 1; len <= std::min(order_, history_.size());
-       ++len) {
-    const std::uint64_t key = context_key(history_, len, n_);
+  for (std::size_t len = 1; len <= history_len_; ++len) {
+    const std::uint64_t key = context_key(len);
     Key64Map& table = tables_[len - 1];
     std::uint32_t ctx = table.find(key);
     if (ctx == Key64Map::kNotFound) {
@@ -54,13 +51,17 @@ void PpmPredictor::observe(ItemId item) {
       }
     }
     if (!found) {
-      stats.head = edges_.alloc(Edge{item, 1, stats.head});
+      stats.head = edges_.alloc(Edge{item, stats.head, 1});
     }
   }
   ++marginal_[static_cast<std::size_t>(item)];
   ++total_;
-  history_.push_back(item);
-  if (history_.size() > order_) history_.pop_front();
+  if (history_len_ == order_) {
+    std::copy(history_.begin() + 1, history_.begin() + history_len_,
+              history_.begin());
+    --history_len_;
+  }
+  history_[history_len_++] = item;
 }
 
 void PpmPredictor::predict_into(std::vector<double>& out) const {
@@ -70,9 +71,8 @@ void PpmPredictor::predict_into(std::vector<double>& out) const {
   std::vector<char>& excluded = excluded_;
   std::fill(excluded.begin(), excluded.end(), 0);
 
-  for (std::size_t len = std::min(order_, history_.size()); len >= 1;
-       --len) {
-    const std::uint64_t key = context_key(history_, len, n_);
+  for (std::size_t len = history_len_; len >= 1; --len) {
+    const std::uint64_t key = context_key(len);
     const std::uint32_t ctx = tables_[len - 1].find(key);
     if (ctx == Key64Map::kNotFound || contexts_[ctx].total == 0) continue;
     const Context& stats = contexts_[ctx];
@@ -138,7 +138,7 @@ void PpmPredictor::reset() {
   edges_.clear();
   std::fill(marginal_.begin(), marginal_.end(), 0);
   total_ = 0;
-  history_.clear();
+  history_len_ = 0;
 }
 
 }  // namespace skp

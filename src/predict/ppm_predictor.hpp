@@ -9,15 +9,15 @@
 //
 // Storage is arena-backed (util/arena.hpp): per order, an open-addressing
 // key -> context-index map plus pooled 16-byte context headers and
-// pooled successor edges, replacing one unordered_map of ContextStats
+// pooled 16-byte successor edges, replacing one unordered_map of ContextStats
 // (itself holding an unordered_map) per context. The blend consumes each
 // context's successor set through order-independent integer sums and a
 // single per-symbol touch (exclusion flags), so predictions are
 // bit-identical to the map-based predecessor regardless of edge order.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "predict/predictor.hpp"
@@ -35,11 +35,12 @@ class PpmPredictor final : public Predictor {
   void reset() override;
 
   std::size_t order() const noexcept { return order_; }
-  // Heap bytes behind the context tables (capacity bench).
-  std::size_t footprint_bytes() const noexcept {
+  std::size_t footprint_bytes() const noexcept override {
     std::size_t total = contexts_.footprint_bytes() +
                         edges_.footprint_bytes() +
-                        marginal_.capacity() * sizeof(std::uint64_t);
+                        marginal_.capacity() * sizeof(std::uint64_t) +
+                        excluded_.capacity() +
+                        tables_.capacity() * sizeof(Key64Map);
     for (const Key64Map& t : tables_) total += t.footprint_bytes();
     return total;
   }
@@ -52,13 +53,15 @@ class PpmPredictor final : public Predictor {
   };
   struct Edge {
     ItemId sym;
-    std::uint64_t count;
     std::uint32_t next;
+    std::uint64_t count;
   };
+  static_assert(sizeof(Edge) == 16);
+  static constexpr std::size_t kMaxOrder = 8;
 
-  // Encodes a context (sequence of up to `order_` item ids) into a key.
-  static std::uint64_t context_key(const std::deque<ItemId>& hist,
-                                   std::size_t len, std::size_t n);
+  // Encodes the last `len` observed items (len <= history_len_) into a
+  // context key.
+  std::uint64_t context_key(std::size_t len) const;
 
   std::size_t n_;
   std::size_t order_;
@@ -67,7 +70,9 @@ class PpmPredictor final : public Predictor {
   PoolArena<Edge> edges_;
   std::vector<std::uint64_t> marginal_;
   std::uint64_t total_ = 0;
-  std::deque<ItemId> history_;  // most recent at back, length <= order_
+  // The last history_len_ <= order_ observed items, oldest first.
+  std::array<ItemId, kMaxOrder> history_{};
+  std::size_t history_len_ = 0;
   // Per-predict escape-exclusion flags, reused so predict_into never
   // allocates.
   mutable std::vector<char> excluded_;

@@ -45,6 +45,10 @@ class Predictor {
   virtual std::size_t n_items() const = 0;
 
   virtual void reset() = 0;
+
+  // Heap bytes behind the learned state, the object itself excluded
+  // (capacity bench). Grows with what has been observed, not with n^2.
+  virtual std::size_t footprint_bytes() const noexcept = 0;
 };
 
 }  // namespace skp

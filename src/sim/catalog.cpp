@@ -58,6 +58,7 @@ std::shared_ptr<const SharedCatalog> SharedCatalog::build(
   auto client = std::make_shared<SharedClientCatalog>();
   client->server = std::move(g.catalog);
   client->r = client->server.retrieval_times(g.net);
+  cat->zeros_.assign(client->n(), 0.0);
   cat->client_ = std::move(client);
   cat->walk_ = g.walk;
 
@@ -133,6 +134,7 @@ std::size_t SharedCatalog::interned_groups() {
 std::size_t SharedCatalog::footprint_bytes() const noexcept {
   std::size_t total = sizeof(SharedCatalog);
   total += client_->footprint_bytes();
+  total += zeros_.capacity() * sizeof(double);
   if (source_) total += source_->footprint_bytes();
   if (mat_) {
     total += mat_->cycles.capacity() * sizeof(TraceRecord) +

@@ -24,6 +24,8 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
+#include <vector>
 
 #include "sim/netsim.hpp"
 #include "sim/runtime.hpp"
@@ -74,6 +76,10 @@ class SharedCatalog {
     return client_;
   }
 
+  // An all-zero next-access row over the catalog: what a session plans
+  // against during an observe-only warmup (it fetches nothing).
+  std::span<const double> zero_row() const noexcept { return zeros_; }
+
   // ---- Oracle mode --------------------------------------------------
   // The master chain. Immutable: sessions walk it with sample_from and
   // their own state cursor; a drifting session copies it first.
@@ -102,6 +108,7 @@ class SharedCatalog {
 
   Key key_;
   std::shared_ptr<const SharedClientCatalog> client_;
+  std::vector<double> zeros_;
   std::optional<MarkovSource> source_;  // oracle master chain
   MarkovSourceConfig mcfg_;
   Rng walk_{0};

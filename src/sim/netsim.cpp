@@ -143,8 +143,8 @@ double ClientSession::request(ItemId item, double viewing_time,
               "probability vector size mismatch");
 
   const double t0 = clock_.now();
-  P_.assign(next_probs.begin(), next_probs.end());
-  const InstanceView inst(P_, cat_->r, viewing_time);
+  // Plans on the caller's row, which must outlive this call.
+  const InstanceView inst(next_probs, cat_->r, viewing_time);
   inst.validate();
 
   // Plan and commit prefetches (slots are reserved at enqueue time so the

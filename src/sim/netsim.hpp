@@ -158,6 +158,8 @@ class ClientSession {
 
   // Runs one cycle: think for `viewing_time` (prefetching meanwhile), then
   // request `item`. Returns the access time the user experienced.
+  // `next_probs` is planned on in place, not copied: it must stay valid
+  // and unchanged until the call returns.
   // `context_key`, when engaged and the plan cache is enabled, keys plan
   // memoization: the caller promises it uniquely determines
   // (next_probs, viewing_time) for the session's lifetime — e.g. a Markov
@@ -207,8 +209,7 @@ class ClientSession {
   std::vector<double> completion_;   // per-item transfer completion time
   // Per-cycle planning state, reused so request() never allocates after
   // the first cycle: the retrieval-time catalog lives in cat_->r, P is
-  // refilled from the caller's next_probs.
-  std::vector<double> P_;
+  // the caller's next_probs row.
   PlanScratch scratch_;
   PrefetchPlan plan_;
   std::optional<PlanCache> plan_cache_;

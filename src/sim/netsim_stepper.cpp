@@ -69,7 +69,6 @@ NetsimStepper::NetsimStepper(const SimSpec& spec,
   }
   overload_ = OverloadController(spec_.overload);
 
-  zeros_.assign(n, 0.0);
   walk_ = catalog_->walk();
   if (spec_.predictor == PredictorKind::Oracle) {
     // Oracle mode: the DES rendition of the Fig.-7 protocol — ground-
@@ -137,7 +136,7 @@ void NetsimStepper::step_oracle() {
   const bool planning = req >= spec_.predictor_warmup;
   std::span<const double> row = planning
                                     ? source_->transition_row(state_)
-                                    : std::span<const double>(zeros_);
+                                    : catalog_->zero_row();
   if (planning && overload_.rung() != DegradationRung::kNormal) {
     // Degrade a copy — the source's rows are ground truth for every
     // later cycle.
@@ -165,7 +164,7 @@ void NetsimStepper::step_oracle() {
 void NetsimStepper::step_learned() {
   const std::size_t i = executed_;
   const TraceRecord& rec = mat_->cycles[i];
-  std::span<const double> row = zeros_;
+  std::span<const double> row = catalog_->zero_row();
   if (i >= spec_.predictor_warmup) {
     predictor_->predict_into(P_);
     for (double& p : P_) {

@@ -90,6 +90,8 @@ class NetsimStepper {
   // controller disabled — see OverloadController::force_step_down().
   bool force_degrade();
   DegradationRung rung() const noexcept { return overload_.rung(); }
+  // The learned predictor, nullptr in oracle mode (capacity bench).
+  const Predictor* predictor() const noexcept { return predictor_.get(); }
 
  private:
   void step_oracle();
@@ -118,8 +120,6 @@ class NetsimStepper {
   const MaterializedWorkload* mat_ = nullptr;
   std::unique_ptr<Predictor> predictor_;
   std::vector<double> P_;
-  // Shared per-cycle scratch.
-  std::vector<double> zeros_;
   std::vector<double> degraded_;  // oracle-row copy under degradation
   std::size_t executed_ = 0;
   std::uint64_t prev_prefetches_ = 0;

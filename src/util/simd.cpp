@@ -26,13 +26,6 @@ void gather_products_scalar(std::span<const double> P,
   }
 }
 
-void gather_values_scalar(std::span<const double> values,
-                          std::span<const ItemId> ids, double* out) {
-  for (std::size_t k = 0; k < ids.size(); ++k) {
-    out[k] = values[static_cast<std::size_t>(ids[k])];
-  }
-}
-
 void suffix_sums_scalar(std::span<const double> P,
                         std::span<const ItemId> ids, double* out) {
   const std::size_t m = ids.size();
@@ -260,17 +253,6 @@ void gather_products_isa(Isa isa, std::span<const double> P,
   gather_products_scalar(P, r, ids, out);
 }
 
-void gather_values_isa(Isa isa, std::span<const double> values,
-                       std::span<const ItemId> ids, double* out) {
-#if SKP_SIMD_X86
-  if (isa == Isa::Avx2) return gather_values_avx2(values, ids, out);
-  if (isa == Isa::Sse2) return gather_values_sse2(values, ids, out);
-#else
-  (void)isa;
-#endif
-  gather_values_scalar(values, ids, out);
-}
-
 void suffix_sums_isa(Isa isa, std::span<const double> P,
                      std::span<const ItemId> ids, double* out) {
 #if SKP_SIMD_X86
@@ -297,11 +279,6 @@ double masked_time_sum_isa(Isa isa, std::span<const double> P,
 void gather_products(std::span<const double> P, std::span<const double> r,
                      std::span<const ItemId> ids, double* out) {
   gather_products_isa(active_isa(), P, r, ids, out);
-}
-
-void gather_values(std::span<const double> values,
-                   std::span<const ItemId> ids, double* out) {
-  gather_values_isa(active_isa(), values, ids, out);
 }
 
 void suffix_sums(std::span<const double> P, std::span<const ItemId> ids,

@@ -6,8 +6,6 @@
 //   * gather_products   — the Eq.-5 density scan P_i * r_i over an id
 //                         list (victim ranking, canonical-key staging,
 //                         minimal-Pr scans);
-//   * gather_values     — the same gather without the multiply (LFU
-//                         sub-arbitration scores from a frequency row);
 //   * suffix_sums       — the Figure-3 tail sums over a canonical row
 //                         (CanonicalOrderTable rebuilds, PaperTail solves,
 //                         batched SKP setup);
@@ -54,10 +52,6 @@ Isa detected_isa() noexcept;
 void gather_products(std::span<const double> P, std::span<const double> r,
                      std::span<const ItemId> ids, double* out);
 
-// out[k] = values[ids[k]].
-void gather_values(std::span<const double> values,
-                   std::span<const ItemId> ids, double* out);
-
 // Figure-3 tail sums: out[m] = 0, out[j] = out[j+1] + P[ids[j]] for
 // j = m-1 .. 0 (m = ids.size()); `out` must hold m + 1 doubles. The
 // gather is vectorized; the running sum is accumulated right-to-left in
@@ -77,8 +71,6 @@ double masked_time_sum(std::span<const double> P, std::span<const double> r,
 void gather_products_isa(Isa isa, std::span<const double> P,
                          std::span<const double> r,
                          std::span<const ItemId> ids, double* out);
-void gather_values_isa(Isa isa, std::span<const double> values,
-                       std::span<const ItemId> ids, double* out);
 void suffix_sums_isa(Isa isa, std::span<const double> P,
                      std::span<const ItemId> ids, double* out);
 double masked_time_sum_isa(Isa isa, std::span<const double> P,

@@ -3,6 +3,8 @@
 // on unrecognized input, so those paths run as death tests.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -45,11 +47,29 @@ TEST(BenchUtil, SeedParsesU64) {
             18446744073709551615ull);
 }
 
+// A fresh path under the test temp directory (parse_args creates --csv
+// directories, so the tests keep them out of the working directory).
+std::string temp_path(const std::string& leaf) {
+  const std::filesystem::path p =
+      std::filesystem::path(::testing::TempDir()) / "bench_util" / leaf;
+  std::filesystem::remove_all(p);
+  return p.string();
+}
+
 TEST(BenchUtil, CsvCapturesDirectory) {
-  Argv a({"--csv", "out/dir"});
+  const std::string dir = temp_path("out/dir");
+  Argv a({"--csv", dir});
   const BenchArgs args = parse_args(a.argc(), a.argv());
   ASSERT_TRUE(args.csv_dir.has_value());
-  EXPECT_EQ(*args.csv_dir, "out/dir");
+  EXPECT_EQ(*args.csv_dir, dir);
+}
+
+TEST(BenchUtil, CsvCreatesAMissingDirectoryUpFront) {
+  const std::string dir = temp_path("missing/nested");
+  ASSERT_FALSE(std::filesystem::exists(dir));
+  Argv a({"--csv", dir});
+  parse_args(a.argc(), a.argv());
+  EXPECT_TRUE(std::filesystem::is_directory(dir));
 }
 
 TEST(BenchUtil, ThreadsDefaultsToHardware) {
@@ -70,7 +90,8 @@ TEST(BenchUtil, PlanCacheOnByDefaultAndSwitchable) {
 }
 
 TEST(BenchUtil, AllFlagsCombineInAnyOrder) {
-  Argv a({"--csv", "plots", "--threads", "3", "--full", "--seed", "42",
+  const std::string plots = temp_path("plots");
+  Argv a({"--csv", plots, "--threads", "3", "--full", "--seed", "42",
           "--no-plan-cache"});
   const BenchArgs args = parse_args(a.argc(), a.argv());
   EXPECT_TRUE(args.full);
@@ -78,7 +99,7 @@ TEST(BenchUtil, AllFlagsCombineInAnyOrder) {
   EXPECT_EQ(args.threads, 3u);
   EXPECT_TRUE(args.no_plan_cache);
   ASSERT_TRUE(args.csv_dir.has_value());
-  EXPECT_EQ(*args.csv_dir, "plots");
+  EXPECT_EQ(*args.csv_dir, plots);
 }
 
 TEST(BenchUtilDeathTest, UnknownFlagExits2) {
@@ -105,6 +126,37 @@ TEST(BenchUtilDeathTest, ThreadsMissingValueIsRejected) {
   Argv a({"--threads"});
   EXPECT_EXIT(parse_args(a.argc(), a.argv()),
               ::testing::ExitedWithCode(2), "unknown argument: --threads");
+}
+
+TEST(BenchUtilDeathTest, CsvUnderAFileExits1BeforeAnyWork) {
+  // The parent of the requested directory is a regular file, so the
+  // directory can never be created: parse_args must stop right there.
+  const std::string base = temp_path("a_file");
+  std::filesystem::create_directories(
+      std::filesystem::path(base).parent_path());
+  std::ofstream(base) << "x";
+  Argv a({"--csv", base + "/sub"});
+  EXPECT_EXIT(parse_args(a.argc(), a.argv()), ::testing::ExitedWithCode(1),
+              "cannot create output directory");
+}
+
+TEST(BenchUtilDeathTest, NonNumericSeedIsRejected) {
+  for (const char* bad : {"abc", "12x", "", "-1", "+5", " 7",
+                          "18446744073709551616"}) {
+    Argv a({"--seed", bad});
+    EXPECT_EXIT(parse_args(a.argc(), a.argv()), ::testing::ExitedWithCode(2),
+                "--seed expects an unsigned integer")
+        << "'" << bad << "'";
+  }
+}
+
+TEST(BenchUtilDeathTest, NonNumericThreadsIsRejected) {
+  for (const char* bad : {"four", "3.5", "-2"}) {
+    Argv a({"--threads", bad});
+    EXPECT_EXIT(parse_args(a.argc(), a.argv()), ::testing::ExitedWithCode(2),
+                "--threads expects an unsigned integer")
+        << "'" << bad << "'";
+  }
 }
 
 TEST(BenchUtilDeathTest, HelpPrintsUsageAndExits0) {

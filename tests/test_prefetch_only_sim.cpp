@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 namespace skp {
 namespace {
 
@@ -181,6 +183,26 @@ TEST(PrefetchOnlySim, ConfigValidation) {
   cfg = PrefetchOnlyConfig{};
   cfg.r_lo = 0.0;
   EXPECT_THROW(run_prefetch_only(cfg), std::invalid_argument);
+}
+
+TEST(PrefetchOnlySim, SkpVsKpGapUnderFlatIsSmall) {
+  // The Fig.-5 flat-panel claim, quantified: the SKP(exact)/KP difference
+  // under flat P is a small fraction of the no-prefetch/KP difference.
+  PrefetchOnlyConfig cfg;
+  cfg.iterations = 20000;
+  cfg.seed = 10;
+  cfg.method = ProbMethod::Flat;
+  cfg.policy = PrefetchPolicy::SKP;
+  const auto skp = run_prefetch_only(cfg);
+  cfg.policy = PrefetchPolicy::KP;
+  const auto kp = run_prefetch_only(cfg);
+  cfg.policy = PrefetchPolicy::None;
+  const auto none = run_prefetch_only(cfg);
+  const double gap_skp_kp = std::abs(
+      skp.metrics.mean_access_time() - kp.metrics.mean_access_time());
+  const double gap_none_kp =
+      none.metrics.mean_access_time() - kp.metrics.mean_access_time();
+  EXPECT_LT(gap_skp_kp, 0.15 * gap_none_kp);
 }
 
 }  // namespace

@@ -53,7 +53,7 @@ std::vector<simd::Isa> testable_isas() {
 }
 
 struct KernelInput {
-  std::vector<double> P, r, values;
+  std::vector<double> P, r;
   std::vector<ItemId> ids;
   std::vector<char> present;
 };
@@ -63,7 +63,6 @@ KernelInput random_input(Rng& rng, std::size_t n, std::size_t m,
   KernelInput in;
   in.P.resize(n);
   in.r.resize(n);
-  in.values.resize(n);
   in.present.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
     in.P[i] = zero_rows && (rng.next_u64() & 1) ? 0.0
@@ -74,7 +73,6 @@ KernelInput random_input(Rng& rng, std::size_t n, std::size_t m,
       in.P[i] *= 1e-310;
     }
     in.r[i] = 1.0 + 29.0 * rng.next_double();
-    in.values[i] = rng.next_double() * 100.0;
     in.present[i] = static_cast<char>(rng.next_u64() & 1);
   }
   in.ids.reserve(m);
@@ -91,24 +89,20 @@ TEST(SimdKernels, AllIsasMatchScalarOnRandomInputs) {
     const std::size_t m = rng.next_u64() % (n + 13);
     const KernelInput in = random_input(rng, n, m, /*denormals=*/rep % 2,
                                         /*zero_rows=*/rep % 3 == 0);
-    std::vector<double> ref_prod(m), ref_val(m), ref_suf(m + 1);
+    std::vector<double> ref_prod(m), ref_suf(m + 1);
     simd::gather_products_isa(simd::Isa::Scalar, in.P, in.r, in.ids,
                               ref_prod.data());
-    simd::gather_values_isa(simd::Isa::Scalar, in.values, in.ids,
-                            ref_val.data());
     simd::suffix_sums_isa(simd::Isa::Scalar, in.P, in.ids, ref_suf.data());
     const double ref_mask =
         simd::masked_time_sum_isa(simd::Isa::Scalar, in.P, in.r, in.present);
 
     for (simd::Isa isa : testable_isas()) {
-      std::vector<double> prod(m), val(m), suf(m + 1);
+      std::vector<double> prod(m), suf(m + 1);
       simd::gather_products_isa(isa, in.P, in.r, in.ids, prod.data());
-      simd::gather_values_isa(isa, in.values, in.ids, val.data());
       simd::suffix_sums_isa(isa, in.P, in.ids, suf.data());
       const double mask = simd::masked_time_sum_isa(isa, in.P, in.r,
                                                     in.present);
       expect_same_doubles(prod, ref_prod, simd::to_string(isa));
-      expect_same_doubles(val, ref_val, simd::to_string(isa));
       expect_same_doubles(suf, ref_suf, simd::to_string(isa));
       EXPECT_EQ(bits(mask), bits(ref_mask)) << simd::to_string(isa);
     }
@@ -126,7 +120,6 @@ TEST(SimdKernels, EmptyAndAllZeroEdgeCases) {
     simd::suffix_sums_isa(isa, P, {}, &sentinel);
     EXPECT_EQ(bits(sentinel), bits(0.0)) << simd::to_string(isa);
     simd::gather_products_isa(isa, P, r, {}, nullptr);
-    simd::gather_values_isa(isa, r, {}, nullptr);
     // All-zero P: every tail sum and the masked total are exactly 0.0.
     std::vector<double> suf(ids.size() + 1, -1.0);
     simd::suffix_sums_isa(isa, P, ids, suf.data());

@@ -46,7 +46,6 @@ using simctl::parse_double;
 using simctl::parse_integer_axis;
 using simctl::parse_numeric_axis;
 using simctl::parse_range_pair;
-using simctl::parse_u64;
 using simctl::split;
 
 // SIGINT/SIGTERM mid-sweep: finish the specs already running, skip the
@@ -674,8 +673,8 @@ int run_command(const std::vector<std::string>& args) {
 
   // Output targets are checked before anything runs: a bad path must not
   // cost a finished sweep.
-  if (csv_path) simctl::prepare_output_file(*csv_path);
-  if (per_client_csv_path) simctl::prepare_output_file(*per_client_csv_path);
+  if (csv_path) prepare_output_file(*csv_path);
+  if (per_client_csv_path) prepare_output_file(*per_client_csv_path);
 
   // Shard selection keeps (index, spec) pairs so rows carry their global
   // index into the merge.

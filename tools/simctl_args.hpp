@@ -8,8 +8,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -18,47 +16,12 @@
 #include "sim/fault.hpp"
 #include "sim/link_schedule.hpp"
 #include "util/json.hpp"
+#include "util/cli.hpp"
 
 namespace skp::simctl {
 
 [[noreturn]] inline void bad_arg(const std::string& message) {
   throw std::invalid_argument(message);
-}
-
-// A CSV target that cannot be written. Raised by the preflight below,
-// before any simulation runs, so a typo costs milliseconds instead of a
-// finished sweep.
-struct OutputPathError : std::runtime_error {
-  using std::runtime_error::runtime_error;
-};
-
-// Creates `dir` (and missing parents) unless it exists; throws
-// OutputPathError when it cannot be created or is not a directory.
-inline void prepare_output_dir(const std::string& dir) {
-  std::error_code ec;
-  std::filesystem::create_directories(dir, ec);
-  if (!std::filesystem::is_directory(dir)) {
-    throw OutputPathError("cannot create output directory '" + dir + "'" +
-                          (ec ? ": " + ec.message() : std::string()));
-  }
-}
-
-// Makes sure `path` can be written as an output file: its directory is
-// created if missing, then the file is opened for append (and removed
-// again if the probe created it). Throws OutputPathError otherwise.
-inline void prepare_output_file(const std::string& path) {
-  namespace fs = std::filesystem;
-  const fs::path p(path);
-  if (p.has_parent_path()) prepare_output_dir(p.parent_path().string());
-  if (fs::is_directory(p)) {
-    throw OutputPathError("output path '" + path + "' is a directory");
-  }
-  const bool existed = fs::exists(p);
-  if (!std::ofstream(p, std::ios::app)) {
-    throw OutputPathError("cannot write output file '" + path + "'");
-  }
-  std::error_code ec;
-  if (!existed) fs::remove(p, ec);
 }
 
 inline std::vector<std::string> split(const std::string& value, char sep) {
@@ -67,22 +30,6 @@ inline std::vector<std::string> split(const std::string& value, char sep) {
   std::istringstream is(value);
   while (std::getline(is, part, sep)) parts.push_back(part);
   return parts;
-}
-
-inline std::uint64_t parse_u64(const std::string& value, const char* flag) {
-  // Digits only: std::stoull would parse a leading '-' and wrap it into
-  // a huge value, turning a typo into a near-infinite sweep.
-  if (value.empty() ||
-      value.find_first_not_of("0123456789") != std::string::npos) {
-    bad_arg(std::string(flag) + " expects an unsigned integer, got '" +
-            value + "'");
-  }
-  try {
-    return std::stoull(value);
-  } catch (const std::exception&) {
-    bad_arg(std::string(flag) + " expects an unsigned integer, got '" +
-            value + "'");
-  }
 }
 
 inline double parse_double(const std::string& value, const char* flag) {
