@@ -34,9 +34,6 @@ struct BenchArgs {
   std::optional<std::string> csv_dir;
   std::size_t threads = 0;  // 0 = hardware concurrency
   bool no_plan_cache = false;
-  // Opt out of lockstep batched execution (run_sim_batch) in the benches
-  // that default to it; the solo path is the A/B baseline.
-  bool no_batch = false;
 };
 
 // A bad number exits 2, like an unknown flag, instead of running with a
@@ -72,12 +69,10 @@ inline BenchArgs parse_args(int argc, char** argv) {
           static_cast<std::size_t>(parse_u64_arg(argv[++i], "--threads"));
     } else if (a == "--no-plan-cache") {
       args.no_plan_cache = true;
-    } else if (a == "--no-batch") {
-      args.no_batch = true;
     } else if (a == "--help" || a == "-h") {
       std::cout << "usage: " << argv[0]
                 << " [--full] [--seed <u64>] [--csv <dir>]"
-                   " [--threads <n>] [--no-plan-cache] [--no-batch]\n";
+                   " [--threads <n>] [--no-plan-cache]\n";
       std::exit(0);
     } else {
       std::cerr << "unknown argument: " << a << "\n";

@@ -41,6 +41,7 @@
 #include <utility>
 #include <vector>
 
+#include "bench_util.hpp"
 #include "sim/catalog.hpp"
 #include "sim/netsim_stepper.hpp"
 #include "sim/runtime.hpp"
@@ -202,10 +203,10 @@ int main(int argc, char** argv) {
       sessions = 4096;
     } else if (a == "--sessions" && i + 1 < argc) {
       sessions = static_cast<std::size_t>(
-          std::strtoull(argv[++i], nullptr, 10));
+          skp::bench::parse_u64_arg(argv[++i], "--sessions"));
     } else if (a == "--steps" && i + 1 < argc) {
       active_steps = static_cast<std::size_t>(
-          std::strtoull(argv[++i], nullptr, 10));
+          skp::bench::parse_u64_arg(argv[++i], "--steps"));
     } else if (a == "--json" && i + 1 < argc) {
       json_path = argv[++i];
     } else if (a == "--help" || a == "-h") {

@@ -66,10 +66,6 @@ struct PlanScratch {
   KpWorkspace kp;
   KpSolution kp_sol;
 
-  // Batched planning (plan_with_cache_batch): the group leader's staging
-  // row of same-candidate-set lanes handed to solve_skp_batch_into.
-  std::vector<SkpBatchItem> batch_items;
-
   // Sized-cache planning: victim-gathering pool + result, and a scratch
   // copy of the cache that victim searches mutate (copy-assigned from the
   // real cache each round, reusing its storage).

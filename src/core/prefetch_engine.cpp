@@ -413,18 +413,8 @@ void PrefetchEngine::select_memoized(
     copy_plan(*stored, out);
     return;
   }
-  if (memo.speculative != nullptr &&
-      memo.speculative->state_key == memo.state_key &&
-      memo.speculative->candidates_fp == fp) {
-    // A pipeline worker already solved this exact selection (same state,
-    // same candidate set) against a cache snapshot; adopt its result
-    // instead of re-solving. The stored plan carries the worker's solver
-    // stats, so every simulator counter matches the inline solve.
-    copy_plan(memo.speculative->plan, out);
-  } else {
-    select_into(inst, scratch.candidates, oracle_next, scratch, out,
-                candidates_canonical, suffix_prob);
-  }
+  select_into(inst, scratch.candidates, oracle_next, scratch, out,
+              candidates_canonical, suffix_prob);
   if (StoredPlan* slot = memo.selections->insert(memo.state_key, fp)) {
     copy_plan(out, *slot);
   }
@@ -489,7 +479,7 @@ void PrefetchEngine::plan_with_cache_batch(
               "batched planning requires a positive-support hint");
   // Per-lane progress through the plan_with_cache_cached stages. Kept in
   // lane-local scalars (no per-call allocation on this hot path).
-  enum : unsigned char { kStageDone, kStageAdmit, kStageSolve, kStageGrouped };
+  enum : unsigned char { kStageDone, kStageAdmit, kStageSolve };
   const bool memoized = memoizable_policy();
 
   // Stage 1: plan-tier lookup + canonical candidate staging — the exact
@@ -524,10 +514,8 @@ void PrefetchEngine::plan_with_cache_batch(
     lane.stage = kStageSolve;
   }
 
-  // Stage 2: selection tier — find per lane, then solve the misses. SKP
-  // misses sharing a candidate set are grouped and run through
-  // solve_skp_batch_into (one Figure-3 setup per group); each lane's
-  // selection insert follows its solve, exactly as select_memoized does.
+  // Stage 2: selection tier — find per lane, then solve each miss and
+  // insert its selection, exactly as select_memoized does.
   for (PlanBatchLane& lane : lanes) {
     if (lane.stage != kStageSolve) continue;
     if (memoized && lane.memo.selections != nullptr) {
@@ -540,63 +528,17 @@ void PrefetchEngine::plan_with_cache_batch(
       }
     }
   }
-  if (config_.policy == PrefetchPolicy::SKP) {
-    SkpOptions opts;
-    opts.delta_rule = config_.delta_rule;
-    opts.max_nodes = config_.max_solver_nodes;
-    // Mirrors select_into's SKP branch, then the selection-tier insert —
-    // the tail of select_memoized after a miss.
-    const auto assemble = [&](PlanBatchLane& lane) {
-      const SkpSolution& sol = lane.scratch->skp_sol;
-      lane.out->clear();
-      lane.out->fetch.assign(sol.F.begin(), sol.F.end());
-      lane.out->predicted_g = sol.g;
-      lane.out->stretch = sol.stretch;
-      lane.out->solver_nodes = sol.forward_steps;
-      if (memoized && lane.memo.selections != nullptr) {
-        if (StoredPlan* slot = lane.memo.selections->insert(
-                lane.memo.state_key, lane.candidates_fp)) {
-          copy_plan(*lane.out, *slot);
-        }
-      }
-      lane.stage = kStageAdmit;
-    };
-    for (std::size_t i = 0; i < lanes.size(); ++i) {
-      if (lanes[i].stage != kStageSolve) continue;
-      PlanScratch& lead = *lanes[i].scratch;
-      lead.batch_items.clear();
-      lead.batch_items.push_back({inst, &lead.skp_sol});
-      for (std::size_t j = i + 1; j < lanes.size(); ++j) {
-        // Group on the true candidate set (fingerprint as prefilter,
-        // then element equality — cheap next to a solve, and immune to
-        // fingerprint collisions merging distinct sets).
-        if (lanes[j].stage != kStageSolve) continue;
-        if (lanes[j].candidates_fp != lanes[i].candidates_fp) continue;
-        if (lanes[j].scratch->candidates != lead.candidates) continue;
-        lead.batch_items.push_back({inst, &lanes[j].scratch->skp_sol});
-        lanes[j].stage = kStageGrouped;
-      }
-      solve_skp_batch_into(lead.batch_items, lead.candidates, opts,
-                           lead.skp);
-      assemble(lanes[i]);
-      for (std::size_t j = i + 1; j < lanes.size(); ++j) {
-        if (lanes[j].stage == kStageGrouped) assemble(lanes[j]);
+  for (PlanBatchLane& lane : lanes) {
+    if (lane.stage != kStageSolve) continue;
+    select_into(inst, lane.scratch->candidates, oracle_next, *lane.scratch,
+                *lane.out, /*candidates_canonical=*/true, lane.suffix);
+    if (memoized && lane.memo.selections != nullptr) {
+      if (StoredPlan* slot = lane.memo.selections->insert(
+              lane.memo.state_key, lane.candidates_fp)) {
+        copy_plan(*lane.out, *slot);
       }
     }
-  } else {
-    for (PlanBatchLane& lane : lanes) {
-      if (lane.stage != kStageSolve) continue;
-      select_into(inst, lane.scratch->candidates, oracle_next,
-                  *lane.scratch, *lane.out, /*candidates_canonical=*/true,
-                  lane.suffix);
-      if (memoized && lane.memo.selections != nullptr) {
-        if (StoredPlan* slot = lane.memo.selections->insert(
-                lane.memo.state_key, lane.candidates_fp)) {
-          copy_plan(*lane.out, *slot);
-        }
-      }
-      lane.stage = kStageAdmit;
-    }
+    lane.stage = kStageAdmit;
   }
 
   // Stage 3: Figure-6 admission + plan-tier insert, per lane.
@@ -610,39 +552,6 @@ void PrefetchEngine::plan_with_cache_batch(
       }
     }
   }
-}
-
-void PrefetchEngine::speculate_selection(InstanceView inst,
-                                         std::uint64_t state_key,
-                                         const CanonicalOrderTable::Row& row,
-                                         std::span<const char> present,
-                                         PlanScratch& scratch,
-                                         SpeculativeSelection& out) const {
-  SKP_REQUIRE(config_.policy == PrefetchPolicy::SKP,
-              "speculative selection is SKP-only");
-  SKP_REQUIRE(present.size() == inst.n(),
-              "presence bitmap of " << present.size()
-                                    << " vs catalog of " << inst.n());
-  std::span<const double> suffix;
-  out.state_key = state_key;
-  out.candidates_fp = filter_canonical_candidates(
-      inst, row,
-      [present](ItemId id) {
-        return present[static_cast<std::size_t>(id)] != 0;
-      },
-      config_.min_profit_threshold, scratch.candidates, suffix);
-  SkpOptions opts;
-  opts.delta_rule = config_.delta_rule;
-  opts.max_nodes = config_.max_solver_nodes;
-  solve_skp_sorted_into(inst, scratch.candidates, opts, scratch.skp,
-                        scratch.skp_sol, suffix);
-  // Mirror select_into's SKP branch into the stored-plan slice (evict
-  // stays empty: the selection stage precedes admission).
-  out.plan.fetch.assign(scratch.skp_sol.F.begin(), scratch.skp_sol.F.end());
-  out.plan.evict.clear();
-  out.plan.predicted_g = scratch.skp_sol.g;
-  out.plan.stretch = scratch.skp_sol.stretch;
-  out.plan.solver_nodes = scratch.skp_sol.forward_steps;
 }
 
 void PrefetchEngine::admit_slot_into(InstanceView inst,

@@ -193,28 +193,6 @@ void solve_skp_sorted_into(InstanceView inst, std::span<const ItemId> order,
   search.run();
 }
 
-void solve_skp_batch_into(std::span<const SkpBatchItem> items,
-                          std::span<const ItemId> order,
-                          const SkpOptions& opts, SkpWorkspace& ws) {
-  SKP_REQUIRE(opts.total_prob_mass > 0.0,
-              "total_prob_mass = " << opts.total_prob_mass);
-  if (items.empty()) return;
-  // One suffix build for the whole batch (PaperTail only; ExactComplement
-  // needs no tail sums). The sums are a function of P over `order`, which
-  // every lane shares, so lane 0's row serves them all.
-  std::span<const double> suffix;
-  if (opts.delta_rule == DeltaRule::PaperTail) {
-    ws.suffix_prob.resize(order.size() + 1);
-    simd::suffix_sums(items[0].inst.P, order, ws.suffix_prob.data());
-    suffix = ws.suffix_prob;
-  }
-  for (const SkpBatchItem& item : items) {
-    item.sol->clear();
-    SkpSearch search(item.inst, order, opts, ws, *item.sol, suffix);
-    search.run();
-  }
-}
-
 SkpSolution solve_skp(InstanceView inst, std::span<const ItemId> candidates,
                       const SkpOptions& opts) {
   inst.validate();

@@ -110,26 +110,6 @@ void solve_skp_sorted_into(InstanceView inst, std::span<const ItemId> order,
                            SkpSolution& sol,
                            std::span<const double> suffix_prob = {});
 
-// One lane of a batched solve: an instance plus the solution slot to
-// fill. All lanes of one batch share a single canonical order (and thus a
-// single candidate set); they may differ in v (e.g. lockstep cache-size
-// sweeps) and in r only where it does not disturb the shared order.
-struct SkpBatchItem {
-  InstanceView inst;
-  SkpSolution* sol;
-};
-
-// Batched presorted solve: runs every lane over ONE canonical `order`
-// with ONE Figure-3 suffix-sum build amortized across the batch (the tail
-// sums depend only on P over `order`, which all lanes share by the batch
-// contract: every lane's P must agree with items[0]'s over `order`).
-// Each lane is bit-identical to solve_skp_sorted_into on that lane alone
-// — the batch changes where setup work happens, never the search
-// (tests/test_simd.cpp pins batch-vs-loop equality).
-void solve_skp_batch_into(std::span<const SkpBatchItem> items,
-                          std::span<const ItemId> order,
-                          const SkpOptions& opts, SkpWorkspace& ws);
-
 // The root upper bound U_g* of Eq. (7): Dantzig bound of the LP relaxation
 // (Theorem 2). Every feasible g*(F) is <= this value.
 double skp_upper_bound(InstanceView inst);

@@ -1,9 +1,7 @@
 #include "sim/prefetch_cache.hpp"
 
 #include <algorithm>
-#include <condition_variable>
 #include <deque>
-#include <mutex>
 #include <optional>
 
 #include "cache/cache.hpp"
@@ -14,7 +12,6 @@
 #include "predict/lz78_predictor.hpp"
 #include "predict/markov_predictor.hpp"
 #include "predict/ppm_predictor.hpp"
-#include "util/thread_pool.hpp"
 
 namespace skp {
 
@@ -46,158 +43,6 @@ std::unique_ptr<Predictor> make_predictor(PredictorKind kind,
   }
   return nullptr;
 }
-
-// Pipelined single-sim execution (PrefetchCacheConfig::pipeline_workers).
-//
-// The Markov walk is a pure function of (chain structure, walk stream), so
-// the whole request script is materialized up front from clones of the
-// source and walk Rng — the main loop then samples exactly the states the
-// script predicts. Workers run ahead of the main loop: the job for
-// request j is enqueued when request j' < j finishes, carrying a snapshot
-// of the cache presence bitmap at that moment (exact for j = j' + 1,
-// speculative beyond). A worker pre-solves the SKP selection stage for
-// (script[j], snapshot) via PrefetchEngine::speculate_selection; the main
-// loop validates the speculation against the LIVE candidate fingerprint
-// inside select_memoized before adopting it, so a snapshot voided by an
-// intervening cache mutation is silently discarded and the solve runs
-// inline. The speculated plan carries the solver's own stats, and the
-// memo-tier find/insert sequence is untouched — every simulator counter
-// AND every plan-cache counter is bit-identical to the solo loop.
-class SpeculationPipeline {
- public:
-  SpeculationPipeline(const PrefetchCacheConfig& cfg,
-                      const MarkovSource& source, const Rng& walk_rng,
-                      const PrefetchEngine& engine)
-      : engine_(engine),
-        source_(source),  // worker-side copy: rows are static (no drift)
-        jobs_(cfg.pipeline_workers + 1) {
-    MarkovSource walker = source;
-    Rng rng = walk_rng;
-    script_.reserve(cfg.requests);
-    script_.push_back(walker.current_state());
-    for (std::size_t i = 1; i < cfg.requests; ++i) {
-      script_.push_back(walker.step(rng));
-    }
-    workers_.reserve(cfg.pipeline_workers);
-    for (std::size_t w = 0; w < cfg.pipeline_workers; ++w) {
-      workers_.emplace_back(source_.n_states());
-    }
-    pool_.emplace(cfg.pipeline_workers);
-    for (std::size_t w = 0; w < cfg.pipeline_workers; ++w) {
-      pool_->submit([this, w] { worker_main(w); });
-    }
-  }
-
-  ~SpeculationPipeline() {
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      stop_ = true;
-    }
-    cv_.notify_all();
-    pool_.reset();  // joins the worker loops
-  }
-
-  // Claims the speculation for request `req` (nullptr when none applies):
-  // a finished job hands back its result, an in-flight job is briefly
-  // waited for, and a still-queued job is cancelled — solving inline
-  // beats waiting for a worker that has not even started.
-  const SpeculativeSelection* take(std::size_t req) {
-    std::unique_lock<std::mutex> lk(mu_);
-    Job& job = jobs_[req % jobs_.size()];
-    if (job.status == kFree || job.index != req) return nullptr;
-    if (job.status == kQueued) {
-      job.status = kFree;
-      return nullptr;
-    }
-    while (job.status != kDone) done_cv_.wait(lk);
-    job.status = kFree;
-    // The slot is only re-enqueued by refill(), which the main loop calls
-    // after consuming this result — the pointer stays valid until then.
-    return &job.result;
-  }
-
-  // Called after request `done_req` finished mutating the cache: tops the
-  // job window back up to one job per worker slot, snapshotting the
-  // current presence bitmap for each.
-  void refill(std::size_t done_req, std::span<const char> present) {
-    bool added = false;
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      const std::size_t hi =
-          std::min(done_req + jobs_.size(), script_.size() - 1);
-      for (; next_enqueue_ <= hi; ++next_enqueue_) {
-        Job& job = jobs_[next_enqueue_ % jobs_.size()];
-        SKP_ASSERT(job.status == kFree);
-        job.index = next_enqueue_;
-        job.state = script_[next_enqueue_];
-        job.present.assign(present.begin(), present.end());
-        job.status = kQueued;
-        added = true;
-      }
-    }
-    if (added) cv_.notify_all();
-  }
-
- private:
-  enum Status : int { kFree, kQueued, kRunning, kDone };
-
-  struct Job {
-    std::size_t index = 0;
-    std::size_t state = 0;
-    std::vector<char> present;
-    SpeculativeSelection result;
-    int status = kFree;
-  };
-
-  // Per-worker solve state: each worker keeps its own canonical-order
-  // table (rows are rebuilt redundantly across workers, but never shared
-  // mutable) and scratch.
-  struct WorkerState {
-    explicit WorkerState(std::size_t n) : canon(n) {}
-    CanonicalOrderTable canon;
-    PlanScratch scratch;
-  };
-
-  void worker_main(std::size_t wid) {
-    WorkerState& w = workers_[wid];
-    std::unique_lock<std::mutex> lk(mu_);
-    for (;;) {
-      Job* job = nullptr;
-      for (Job& j : jobs_) {  // oldest queued job first
-        if (j.status == kQueued && (job == nullptr || j.index < job->index)) {
-          job = &j;
-        }
-      }
-      if (job == nullptr) {
-        if (stop_) return;
-        cv_.wait(lk);
-        continue;
-      }
-      job->status = kRunning;
-      lk.unlock();
-      const InstanceView inst = source_.view_at(job->state);
-      const CanonicalOrderTable::Row row =
-          w.canon.row(job->state, inst, source_.successors(job->state));
-      engine_.speculate_selection(inst, job->state, row, job->present,
-                                  w.scratch, job->result);
-      lk.lock();
-      job->status = kDone;
-      done_cv_.notify_all();
-    }
-  }
-
-  const PrefetchEngine& engine_;
-  MarkovSource source_;
-  std::vector<std::size_t> script_;  // script_[i] = state at request i
-  std::vector<Job> jobs_;            // slot for index i: i % jobs_.size()
-  std::vector<WorkerState> workers_;
-  std::size_t next_enqueue_ = 1;  // request 0 plans before any job exists
-  std::mutex mu_;
-  std::condition_variable cv_;       // queued-work signal (workers wait)
-  std::condition_variable done_cv_;  // completion signal (take() waits)
-  bool stop_ = false;
-  std::optional<ThreadPool> pool_;   // last: joins before members die
-};
 
 }  // namespace
 
@@ -276,21 +121,6 @@ PrefetchCacheResult run_prefetch_cache(const PrefetchCacheConfig& cfg,
   // changepoints and the caller-supplied-source overload stays usable).
   Rng drift_rng = Rng(cfg.seed).split(kPrefetchCacheDriftSalt);
 
-  // Pipelined execution (see SpeculationPipeline above): restricted to
-  // the configuration where the request script is a pure function of the
-  // inputs captured at this point — oracle rows (static, no predictor or
-  // lookahead blend), no drift, SKP with the memoized fast path on.
-  std::optional<SpeculationPipeline> pipe;
-  if (cfg.pipeline_workers > 0) {
-    SKP_REQUIRE(cfg.predictor == PredictorKind::Oracle &&
-                    cfg.lookahead_horizon <= 1 && cfg.drift_period == 0 &&
-                    cfg.use_plan_cache &&
-                    cfg.policy == PrefetchPolicy::SKP,
-                "pipeline_workers requires the oracle SKP fast path "
-                "(no predictor/lookahead/drift, plan cache on)");
-    pipe.emplace(cfg, source, walk_rng, engine);
-  }
-
   std::size_t state = source.current_state();
   if (predictor) predictor->observe(static_cast<ItemId>(state));
 
@@ -338,7 +168,6 @@ PrefetchCacheResult run_prefetch_cache(const PrefetchCacheConfig& cfg,
     memo.selections = selections ? &*selections : nullptr;
     memo.canon = canon ? &*canon : nullptr;
     memo.state_key = state;
-    if (pipe) memo.speculative = pipe->take(req);
     engine.plan_with_cache_cached(inst, cache, &freq, memo, scratch, plan,
                                   oracle, positive_hint);
 
@@ -421,10 +250,6 @@ PrefetchCacheResult run_prefetch_cache(const PrefetchCacheConfig& cfg,
     }
     SKP_ASSERT(cache.order_consistent());
 
-    // All cache mutations for this request are done: top the speculation
-    // window back up against the now-final presence bitmap.
-    if (pipe) pipe->refill(req, cache.presence());
-
     state = static_cast<std::size_t>(next);
   }
   if (plans) result.plan_cache.plans = plans->stats();
@@ -494,8 +319,6 @@ std::vector<PrefetchCacheResult> run_prefetch_cache_batch(
     SKP_REQUIRE(c.predictor == PredictorKind::Oracle &&
                     c.lookahead_horizon <= 1,
                 "batched execution requires oracle one-step lanes");
-    SKP_REQUIRE(c.pipeline_workers == 0,
-                "pipelined and batched execution do not compose");
     SKP_REQUIRE(c.source == c0.source && c.seed == c0.seed &&
                     c.requests == c0.requests &&
                     c.drift_period == c0.drift_period,

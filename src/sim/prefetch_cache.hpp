@@ -78,19 +78,6 @@ struct PrefetchCacheConfig {
   // assumed the old rows, so results stay bit-identical with the plan
   // cache on or off. 0 = static chain (the paper's protocol).
   std::size_t drift_period = 0;
-  // Pipelined single-sim execution (perf knob, 0 = off): this many
-  // worker threads pre-solve the selection stage for upcoming requests.
-  // The Markov walk is a function of (seed, structure) alone, so the
-  // whole request script can be materialized up front; workers speculate
-  // each future request's SKP selection against a cache snapshot, and
-  // the engine adopts a speculation only when the live candidate
-  // fingerprint still matches (core/plan_cache.hpp SpeculativeSelection)
-  // — a stale one is discarded and the solve runs inline. Every metric
-  // AND every plan-cache counter is bit-identical to the solo loop
-  // (tests/test_simd.cpp pins this); only wall-clock changes. Requires
-  // the oracle predictor, lookahead_horizon <= 1, no drift,
-  // use_plan_cache, and the SKP policy.
-  std::size_t pipeline_workers = 0;
 };
 
 struct PrefetchCacheResult {
@@ -120,8 +107,7 @@ PrefetchCacheResult run_prefetch_cache(const PrefetchCacheConfig& config,
 // size, policy, arbitration, thresholds, or plan-cache settings. The
 // source is built and stepped ONCE per request for the whole batch, the
 // canonical-order table is shared, and lanes with identical engine
-// configs are planned through PrefetchEngine::plan_with_cache_batch —
-// grouping same-candidate-set SKP solves into solve_skp_batch_into runs.
+// configs are planned through PrefetchEngine::plan_with_cache_batch.
 // Every lane's result (metrics AND plan-cache counters) is bit-identical
 // to run_prefetch_cache on that lane's config alone; batching changes
 // where setup work happens, never what is computed (tests/test_simd.cpp

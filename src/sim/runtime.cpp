@@ -186,8 +186,6 @@ SimResult run_prefetch_cache_driver(const SimSpec& spec) {
     SKP_REQUIRE(spec.min_profit_threshold == 0.0,
                 "the sized-cache experiment does not support "
                 "min_profit_threshold");
-    SKP_REQUIRE(spec.pipeline_workers == 0,
-                "the sized-cache experiment has no pipelined mode");
     SizedExperimentConfig cfg;
     cfg.source = to_markov_config(w);
     cfg.capacity = spec.sized_capacity;
@@ -218,7 +216,6 @@ SimResult run_prefetch_cache_driver(const SimSpec& spec) {
   cfg.min_profit_threshold = spec.min_profit_threshold;
   cfg.use_plan_cache = spec.use_plan_cache;
   cfg.plan_cache_capacity = spec.plan_cache_capacity;
-  cfg.pipeline_workers = spec.pipeline_workers;
   switch (w.kind) {
     case SimWorkloadKind::Markov:
       cfg.source = to_markov_config(w);
@@ -580,11 +577,6 @@ const SimDriver* find_driver(std::string_view name) {
 SimResult run_sim(const SimSpec& spec) {
   SKP_REQUIRE(spec.workload.n_items >= 2, "n_items must be >= 2");
   SKP_REQUIRE(spec.requests >= 1, "requests must be >= 1");
-  // Reject-don't-drop: only the prefetch_cache driver has a pipelined
-  // execution mode.
-  SKP_REQUIRE(spec.pipeline_workers == 0 ||
-                  spec.driver == SimDriverKind::PrefetchCache,
-              "pipeline_workers applies to the prefetch_cache driver");
   return find_driver(spec.driver).run(spec);
 }
 
@@ -603,8 +595,7 @@ bool batchable_spec(const SimSpec& spec) {
           spec.workload.kind == SimWorkloadKind::MarkovDrift) &&
          spec.predictor == PredictorKind::Oracle &&
          spec.predictor_warmup == 0 && spec.sized_capacity == 0.0 &&
-         spec.pipeline_workers == 0 && spec.bandwidth == 1.0 &&
-         spec.latency == 0.0 && !spec.pr_planning &&
+         spec.bandwidth == 1.0 && spec.latency == 0.0 && !spec.pr_planning &&
          spec.replacement == ReplacementKind::LRU &&
          spec.link_schedule.empty() && spec.fault == FaultSpec{} &&
          spec.overload == OverloadConfig{} && spec.deadline == 0.0 &&

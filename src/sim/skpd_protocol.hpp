@@ -53,7 +53,8 @@ namespace skp {
 // "SKPD" — first payload field of HELLO, so a stray client speaking some
 // other protocol is rejected before anything is parsed as a spec.
 inline constexpr std::uint32_t kSkpdMagic = 0x44504B53u;
-inline constexpr std::uint32_t kSkpdProtocolVersion = 1;
+// Version 2 retired the pipelined-execution spec key.
+inline constexpr std::uint32_t kSkpdProtocolVersion = 2;
 // Hard ceiling on a single frame (type byte + payload). A spec or result
 // text is a few KB; anything near this size is a corrupt or hostile
 // length prefix, and parse_skpd_frame throws rather than buffering it.

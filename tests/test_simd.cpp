@@ -5,13 +5,9 @@
 //     the semantics; vectorization may only reorganize exact IEEE
 //     elementwise work), including denormal inputs and zero-probability
 //     rows;
-//   * solve_skp_batch_into — each batched lane must equal
-//     solve_skp_sorted_into run alone on that lane;
 //   * run_prefetch_cache_batch — each lockstep lane must equal
 //     run_prefetch_cache on that lane's config alone, metrics AND
-//     plan-cache counters;
-//   * pipeline_workers — the pipelined simulator must equal the solo
-//     loop on every counter.
+//     plan-cache counters.
 //
 // Everything here compares doubles through std::bit_cast: equality means
 // the same 64 bits, not "close".
@@ -22,11 +18,9 @@
 #include <gtest/gtest.h>
 
 #include "core/plan_cache.hpp"
-#include "core/skp_solver.hpp"
 #include "sim/prefetch_cache.hpp"
 #include "util/rng.hpp"
 #include "util/simd.hpp"
-#include "workload/markov_source.hpp"
 
 namespace skp {
 namespace {
@@ -142,57 +136,6 @@ TEST(SimdKernels, ActiveIsaMatchesScalarThroughPublicEntryPoints) {
                                            in.present)));
 }
 
-// ---- solve_skp_batch_into == per-lane solve_skp_sorted_into -------------
-
-void expect_same_solution(const SkpSolution& a, const SkpSolution& b) {
-  EXPECT_EQ(a.F, b.F);
-  EXPECT_EQ(bits(a.g), bits(b.g));
-  EXPECT_EQ(bits(a.stretch), bits(b.stretch));
-  EXPECT_EQ(a.forward_steps, b.forward_steps);
-  EXPECT_EQ(a.backtracks, b.backtracks);
-  EXPECT_EQ(a.bound_prunes, b.bound_prunes);
-  EXPECT_EQ(a.node_limit_hit, b.node_limit_hit);
-}
-
-TEST(SkpBatchSolve, LanesMatchLoopOverCanonicalRows) {
-  // Lanes share (P, r) per state — the batch contract — and differ in v,
-  // exactly the lockstep cache-size sweep's shape. Canonical orders come
-  // from a real CanonicalOrderTable over a random Markov source.
-  Rng build(99);
-  MarkovSourceConfig scfg;
-  scfg.n_states = 60;
-  MarkovSource source(scfg, build);
-  CanonicalOrderTable canon(scfg.n_states);
-
-  for (DeltaRule rule : {DeltaRule::ExactComplement, DeltaRule::PaperTail}) {
-    SkpOptions opts;
-    opts.delta_rule = rule;
-    for (std::size_t state = 0; state < 12; ++state) {
-      const InstanceView base = source.view_at(state);
-      const CanonicalOrderTable::Row row =
-          canon.row(state, base, source.successors(state));
-
-      constexpr std::size_t kLanes = 5;
-      std::vector<SkpSolution> batch_sol(kLanes), loop_sol(kLanes);
-      std::vector<SkpBatchItem> items;
-      for (std::size_t k = 0; k < kLanes; ++k) {
-        InstanceView inst = base;
-        inst.v = base.v * (0.25 + 0.5 * static_cast<double>(k));
-        items.push_back({inst, &batch_sol[k]});
-      }
-      SkpWorkspace batch_ws;
-      solve_skp_batch_into(items, row.order, opts, batch_ws);
-
-      for (std::size_t k = 0; k < kLanes; ++k) {
-        SkpWorkspace ws;
-        solve_skp_sorted_into(items[k].inst, row.order, opts, ws,
-                              loop_sol[k]);
-        expect_same_solution(batch_sol[k], loop_sol[k]);
-      }
-    }
-  }
-}
-
 // ---- run_prefetch_cache_batch == per-config run_prefetch_cache ----------
 
 void expect_same_stats(const PlanCacheStats& a, const PlanCacheStats& b,
@@ -235,21 +178,26 @@ PrefetchCacheConfig small_config() {
 }
 
 TEST(BatchSim, CacheSizeSweepLanesMatchSoloRuns) {
-  // The fig7 shape: one policy, many cache sizes. All lanes land in one
-  // engine-digest group, so this drives the grouped SKP batch path.
-  std::vector<PrefetchCacheConfig> configs;
-  for (std::size_t size : {2, 5, 9, 14, 20, 33}) {
-    PrefetchCacheConfig cfg = small_config();
-    cfg.cache_size = size;
-    configs.push_back(cfg);
-  }
-  const std::vector<PrefetchCacheResult> batch =
-      run_prefetch_cache_batch(configs);
-  ASSERT_EQ(batch.size(), configs.size());
-  for (std::size_t i = 0; i < configs.size(); ++i) {
-    SCOPED_TRACE(testing::Message() << "cache_size="
-                                    << configs[i].cache_size);
-    expect_same_result(batch[i], run_prefetch_cache(configs[i]));
+  // The fig7 shape: one policy, many cache sizes. All lanes of one delta
+  // rule land in one engine-digest group and often share a candidate set;
+  // the PaperTail lanes also solve with the canonical-row tail sums.
+  for (DeltaRule rule : {DeltaRule::ExactComplement, DeltaRule::PaperTail}) {
+    std::vector<PrefetchCacheConfig> configs;
+    for (std::size_t size : {2, 5, 9, 14, 20, 33}) {
+      PrefetchCacheConfig cfg = small_config();
+      cfg.cache_size = size;
+      cfg.delta_rule = rule;
+      configs.push_back(cfg);
+    }
+    const std::vector<PrefetchCacheResult> batch =
+        run_prefetch_cache_batch(configs);
+    ASSERT_EQ(batch.size(), configs.size());
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+      SCOPED_TRACE(testing::Message()
+                   << "delta_rule=" << static_cast<int>(rule)
+                   << " cache_size=" << configs[i].cache_size);
+      expect_same_result(batch[i], run_prefetch_cache(configs[i]));
+    }
   }
 }
 
@@ -296,38 +244,6 @@ TEST(BatchSim, SingleLaneAndEmptyBatch) {
   const std::vector<PrefetchCacheConfig> one = {cfg};
   expect_same_result(run_prefetch_cache_batch(one).front(),
                      run_prefetch_cache(cfg));
-}
-
-// ---- pipelined execution == solo loop -----------------------------------
-
-TEST(PipelinedSim, MatchesSoloLoopOnEveryCounter) {
-  for (std::size_t workers : {1u, 2u, 3u}) {
-    for (std::uint64_t seed : {1u, 77u}) {
-      PrefetchCacheConfig cfg = small_config();
-      cfg.seed = seed;
-      cfg.requests = 4000;
-      const PrefetchCacheResult solo = run_prefetch_cache(cfg);
-      cfg.pipeline_workers = workers;
-      SCOPED_TRACE(testing::Message() << "workers=" << workers << " seed="
-                                      << seed);
-      expect_same_result(run_prefetch_cache(cfg), solo);
-    }
-  }
-}
-
-TEST(PipelinedSim, WorksAcrossCacheSizesAndDeltaRules) {
-  for (std::size_t size : {1, 6, 25}) {
-    for (DeltaRule rule :
-         {DeltaRule::ExactComplement, DeltaRule::PaperTail}) {
-      PrefetchCacheConfig cfg = small_config();
-      cfg.cache_size = size;
-      cfg.delta_rule = rule;
-      const PrefetchCacheResult solo = run_prefetch_cache(cfg);
-      cfg.pipeline_workers = 2;
-      SCOPED_TRACE(testing::Message() << "size=" << size);
-      expect_same_result(run_prefetch_cache(cfg), solo);
-    }
-  }
 }
 
 }  // namespace

@@ -164,6 +164,10 @@ TEST(SkpdProtocol, SimSpecDecodeRejectsUnknownKeys) {
   std::string text = encode_sim_spec(netsim_spec());
   text += "frobnicate=1\n";
   EXPECT_THROW(decode_sim_spec(text), std::invalid_argument);
+  // A key retired from the protocol is just as unknown: no legacy no-op.
+  EXPECT_THROW(decode_sim_spec(encode_sim_spec(netsim_spec()) +
+                               "pipeline_workers=0\n"),
+               std::invalid_argument);
 }
 
 TEST(SkpdProtocol, SimResultRoundTripsTheNetsimBooks) {
@@ -526,6 +530,28 @@ TEST(SkpdDaemon, SlowReaderIsForcedDownTheDegradationLadder) {
   EXPECT_GT(result.overload.forced_transitions, 0u);
   EXPECT_EQ(result.metrics.requests, spec.requests);
   raw.send_frame(SkpdFrameType::kBye, {});
+
+  const int status = daemon.terminate();
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+}
+
+TEST(SkpdDaemon, OldProtocolVersionHelloGetsTypedVersionError) {
+  // Version 1 specs carried a key version 2 retired; the daemon answers a
+  // v1 HELLO with the version ERROR before it parses the spec.
+  ASSERT_GT(kSkpdProtocolVersion, 1u);
+  SkpdDaemonProcess daemon(daemon_binary());
+  RawPipelineClient raw(daemon.port());
+  SkpdHello hello;
+  hello.version = 1;
+  hello.spec_text = encode_sim_spec(netsim_spec());
+  raw.send_frame(SkpdFrameType::kHello, encode_hello(hello));
+  std::string storage;
+  const SkpdFrame reply = raw.read_frame(storage);
+  ASSERT_EQ(reply.type, SkpdFrameType::kError);
+  EXPECT_NE(reply.payload.find("unsupported protocol version 1"),
+            std::string_view::npos)
+      << reply.payload;
 
   const int status = daemon.terminate();
   ASSERT_TRUE(WIFEXITED(status));

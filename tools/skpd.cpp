@@ -47,6 +47,7 @@
 #include <cstring>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -60,6 +61,7 @@
 #include "sim/session_store.hpp"
 #include "sim/skpd_protocol.hpp"
 #include "sim/skpd_session.hpp"
+#include "util/cli.hpp"
 #include "util/csv.hpp"
 
 namespace {
@@ -109,6 +111,17 @@ bool parse_flag(const std::string& arg, const char* name,
   return true;
 }
 
+// Whole-number flags go through skp::parse_u64 (digits only), so '-1'
+// cannot wrap to 2^64-1 and '80x' is not read as 80. An int flag past
+// INT_MAX is refused here instead of wrapping past the range check.
+int parse_int_flag(const std::string& v, const char* flag) {
+  const std::uint64_t x = skp::parse_u64(v, flag);
+  if (x > static_cast<std::uint64_t>(std::numeric_limits<int>::max())) {
+    throw std::invalid_argument(std::string(flag) + " out of range");
+  }
+  return static_cast<int>(x);
+}
+
 std::optional<Options> parse_args(int argc, char** argv) {
   Options opt;
   for (int i = 1; i < argc; ++i) {
@@ -119,26 +132,26 @@ std::optional<Options> parse_args(int argc, char** argv) {
         usage(stdout);
         std::exit(0);
       } else if (parse_flag(arg, "--port", &v)) {
-        opt.port = std::stoi(v);
+        opt.port = parse_int_flag(v, "--port");
       } else if (parse_flag(arg, "--keepalive", &v)) {
         opt.keepalive = std::stod(v);
       } else if (parse_flag(arg, "--session-linger", &v)) {
         opt.session_linger = std::stod(v);
       } else if (parse_flag(arg, "--write-queue-soft", &v)) {
-        opt.write_queue_soft = std::stoull(v);
+        opt.write_queue_soft = skp::parse_u64(v, "--write-queue-soft");
       } else if (parse_flag(arg, "--write-queue-hard", &v)) {
-        opt.write_queue_hard = std::stoull(v);
+        opt.write_queue_hard = skp::parse_u64(v, "--write-queue-hard");
       } else if (parse_flag(arg, "--drain-timeout", &v)) {
         opt.drain_timeout = std::stod(v);
       } else if (parse_flag(arg, "--sndbuf", &v)) {
         // Caps each connection's kernel send buffer so the userspace
         // write-queue limits (not kernel autotuning) govern when a slow
         // reader is detected. 0 keeps the kernel default.
-        opt.sndbuf = std::stoi(v);
+        opt.sndbuf = parse_int_flag(v, "--sndbuf");
       } else if (parse_flag(arg, "--stats-csv", &v)) {
         opt.stats_csv = v;
       } else if (parse_flag(arg, "--preload-sessions", &v)) {
-        opt.preload_sessions = std::stoull(v);
+        opt.preload_sessions = skp::parse_u64(v, "--preload-sessions");
       } else if (parse_flag(arg, "--preload-spec", &v)) {
         opt.preload_spec = v;
       } else {
