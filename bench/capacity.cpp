@@ -24,10 +24,13 @@
 // Emits a google-benchmark-compatible JSON snapshot (counters only;
 // cpu_time is zero and skipped by the comparer) so compare_bench.py can
 // gate bytes_per_session growth against bench/BENCH_seed.json, and
-// enforces two acceptances in-process, exiting nonzero on either: shared
-// idle sessions must be at least 4x smaller than private ones, and an
-// active markov1 session must stay below a quarter of the dense n x n
-// count matrix (n^2 * 8 bytes) its predictor used to allocate.
+// enforces three acceptances in-process, exiting nonzero on any: shared
+// idle sessions must be at least 4x smaller than private ones, an active
+// markov1 session must stay below a quarter of the dense n x n count
+// matrix (n^2 * 8 bytes) its predictor used to allocate, and every active
+// session's non-predictor rest must stay below 10 KB (per-step scratch
+// is borrowed from the thread, so the rest is what outlives a step).
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
@@ -148,6 +151,13 @@ Row measure_active(const std::string& name, const skp::SimSpec& spec,
                    std::size_t sessions, std::size_t steps) {
   const std::shared_ptr<const skp::SharedCatalog> catalog =
       skp::SharedCatalog::acquire(spec);
+  // The step scratch a session borrows (planning buffers, plan, predictor
+  // row) belongs to the thread, not to any session: grow it to this
+  // spec's size with a throwaway session before the window opens.
+  {
+    skp::NetsimStepper warm(spec, catalog);
+    for (std::size_t s = 0; s < steps && !warm.done(); ++s) warm.step();
+  }
   std::vector<std::unique_ptr<skp::NetsimStepper>> pool;
   pool.reserve(sessions);
   const std::uint64_t before = live();
@@ -278,6 +288,7 @@ int main(int argc, char** argv) {
   // (lz78) is also reported as CAP_NetsimActive_shared, the name the
   // seed snapshot has tracked since before the split.
   double markov_active = 0.0;
+  double max_active_rest = 0.0;
   for (const auto& [kind, label] :
        {std::pair{skp::PredictorKind::Markov1, "markov1"},
         std::pair{skp::PredictorKind::Lz78, "lz78"},
@@ -289,6 +300,9 @@ int main(int argc, char** argv) {
     if (kind == skp::PredictorKind::Markov1) {
       markov_active = rows.back().bytes_per_session;
     }
+    max_active_rest = std::max(max_active_rest,
+                               rows.back().bytes_per_session -
+                                   rows.back().predictor_bytes_per_session);
     if (kind == spec.predictor) {
       Row shared = rows.back();
       shared.name = "CAP_NetsimActive_shared/" + std::to_string(sessions);
@@ -340,6 +354,16 @@ int main(int argc, char** argv) {
                  "FAIL: active markov1 session holds %.0f bytes, not below "
                  "a quarter of the dense n^2 matrix (%.0f)\n",
                  markov_active, dense_quarter);
+    return 1;
+  }
+  // Session state vs step state (DESIGN.md D11): what a stepped session
+  // keeps beyond its predictor must stay below 10 KB.
+  constexpr double kMaxActiveRest = 10.0 * 1024.0;
+  if (max_active_rest >= kMaxActiveRest) {
+    std::fprintf(stderr,
+                 "FAIL: an active session keeps %.0f non-predictor bytes, "
+                 "not below %.0f\n",
+                 max_active_rest, kMaxActiveRest);
     return 1;
   }
   return 0;

@@ -13,6 +13,10 @@
 // worker thread its own. Results are bit-identical to the scratch-free
 // overloads — the buffers change where intermediates live, never their
 // values (tests/test_prefetch_cache_sim.cpp pins this at fixed seeds).
+// Nothing in it carries meaning from one call to the next, so callers
+// that step many sessions on one thread (ClientSession, NetsimStepper)
+// borrow the thread's instance through thread_plan_scratch() instead of
+// each owning one.
 #pragma once
 
 #include <cstdint>
@@ -98,5 +102,13 @@ struct PlanScratch {
   std::vector<std::uint32_t> mark_;
   std::uint32_t epoch_ = 0;
 };
+
+// The calling thread's PlanScratch: one per thread, shared by every
+// session stepped on it. Valid only for the duration of one step — its
+// contents die when the step returns.
+inline PlanScratch& thread_plan_scratch() {
+  thread_local PlanScratch scratch;
+  return scratch;
+}
 
 }  // namespace skp

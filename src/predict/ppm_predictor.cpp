@@ -6,13 +6,24 @@
 
 namespace skp {
 
+namespace {
+
+// Per-predict escape-exclusion flags. They die with the call, so every
+// predictor on a thread reuses the thread's one buffer and predict_into
+// never allocates once it has grown to the largest catalog.
+std::vector<char>& thread_excluded() {
+  thread_local std::vector<char> excluded;
+  return excluded;
+}
+
+}  // namespace
+
 PpmPredictor::PpmPredictor(std::size_t n, std::size_t order)
     : n_(n), order_(order) {
   SKP_REQUIRE(n > 0, "PpmPredictor over empty catalog");
   SKP_REQUIRE(order >= 1 && order <= kMaxOrder, "order must be in [1, 8]");
   tables_.resize(order);
   marginal_.assign(n, 0);
-  excluded_.assign(n, 0);
 }
 
 std::uint64_t PpmPredictor::context_key(std::size_t len) const {
@@ -68,8 +79,8 @@ void PpmPredictor::predict_into(std::vector<double>& out) const {
   std::vector<double>& p = out;
   p.assign(n_, 0.0);
   double remaining = 1.0;  // probability mass not yet claimed (escapes)
-  std::vector<char>& excluded = excluded_;
-  std::fill(excluded.begin(), excluded.end(), 0);
+  std::vector<char>& excluded = thread_excluded();
+  excluded.assign(n_, 0);
 
   for (std::size_t len = history_len_; len >= 1; --len) {
     const std::uint64_t key = context_key(len);

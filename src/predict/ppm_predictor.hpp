@@ -39,7 +39,6 @@ class PpmPredictor final : public Predictor {
     std::size_t total = contexts_.footprint_bytes() +
                         edges_.footprint_bytes() +
                         marginal_.capacity() * sizeof(std::uint64_t) +
-                        excluded_.capacity() +
                         tables_.capacity() * sizeof(Key64Map);
     for (const Key64Map& t : tables_) total += t.footprint_bytes();
     return total;
@@ -73,9 +72,6 @@ class PpmPredictor final : public Predictor {
   // The last history_len_ <= order_ observed items, oldest first.
   std::array<ItemId, kMaxOrder> history_{};
   std::size_t history_len_ = 0;
-  // Per-predict escape-exclusion flags, reused so predict_into never
-  // allocates.
-  mutable std::vector<char> excluded_;
 };
 
 }  // namespace skp

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "core/access_model.hpp"
+#include "core/plan_scratch.hpp"
 
 namespace skp {
 
@@ -40,6 +41,13 @@ const SharedClientCatalog& deref_catalog(
   return *cat;
 }
 
+// The plan request() commits: like the planning scratch, it dies with the
+// call, so every session on a thread reuses the thread's one instance.
+PrefetchPlan& thread_plan() {
+  thread_local PrefetchPlan plan;
+  return plan;
+}
+
 }  // namespace
 
 ClientSession::ClientSession(ServerCatalog catalog, NetConfig net,
@@ -73,7 +81,20 @@ void ClientSession::enable_plan_cache(std::size_t capacity) {
 }
 
 double ClientSession::link_utilization() const {
-  return clock_.now() > 0.0 ? link_busy_total_ / clock_.now() : 0.0;
+  return now_ > 0.0 ? link_busy_total_ / now_ : 0.0;
+}
+
+void ClientSession::run_until(double horizon) {
+  // Finish times never decrease in queue order, and equal ones complete
+  // in enqueue order, so the front-to-back sum is the event order.
+  std::size_t done = 0;
+  while (done < in_flight_.size() && in_flight_[done].finish <= horizon) {
+    link_busy_total_ += in_flight_[done].busy;
+    ++done;
+  }
+  in_flight_.erase(in_flight_.begin(),
+                   in_flight_.begin() + static_cast<std::ptrdiff_t>(done));
+  now_ = std::max(now_, horizon);
 }
 
 void ClientSession::set_fault_injection(const FaultSpec& spec, Rng stream) {
@@ -87,8 +108,8 @@ void ClientSession::set_fault_injection(const FaultSpec& spec, Rng stream) {
 }
 
 std::optional<double> ClientSession::enqueue_prefetch(ItemId item) {
-  if (!fault_.enabled()) return enqueue_transfer(item, true);
-  const double start = std::max(clock_.now(), link_free_at_);
+  if (!fault_.enabled()) return enqueue_transfer(item);
+  const double start = std::max(now_, link_free_at_);
   const FaultTransfer ft = run_faulty_transfer(
       fault_, fault_rng_, fault_stats_, start, [&](double attempt_start) {
         return net_.transfer_time(cat_->server.sizes[Instance::idx(item)],
@@ -97,22 +118,13 @@ std::optional<double> ClientSession::enqueue_prefetch(ItemId item) {
   // The link is held through every attempt; backoff gaps idle it, so
   // occupancy (ft.busy) is what counts toward utilization.
   link_free_at_ = ft.finish;
-  in_flight_.push_back({item, start, ft.finish, true});
-  clock_.schedule_at(ft.finish,
-                     [this, item, finish = ft.finish, busy = ft.busy] {
-                       link_busy_total_ += busy;
-                       in_flight_.erase(std::find_if(
-                           in_flight_.begin(), in_flight_.end(),
-                           [&](const Transfer& t) {
-                             return t.item == item && t.finish == finish;
-                           }));
-                     });
+  in_flight_.push_back({item, start, ft.finish, ft.busy});
   if (!ft.delivered) return std::nullopt;
   return ft.finish;
 }
 
-double ClientSession::enqueue_transfer(ItemId item, bool is_prefetch) {
-  const double start = std::max(clock_.now(), link_free_at_);
+double ClientSession::enqueue_transfer(ItemId item) {
+  const double start = std::max(now_, link_free_at_);
   // Priced by the link phase in force at transfer START (the base static
   // r_i when no schedule is set); metrics keep charging the base r_i so
   // network_time stays comparable across schedules.
@@ -120,15 +132,7 @@ double ClientSession::enqueue_transfer(ItemId item, bool is_prefetch) {
       net_.transfer_time(cat_->server.sizes[Instance::idx(item)], start);
   const double finish = start + duration;
   link_free_at_ = finish;
-  in_flight_.push_back({item, start, finish, is_prefetch});
-  clock_.schedule_at(finish, [this, item, start, finish] {
-    link_busy_total_ += finish - start;
-    in_flight_.erase(
-        std::find_if(in_flight_.begin(), in_flight_.end(),
-                     [&](const Transfer& t) {
-                       return t.item == item && t.finish == finish;
-                     }));
-  });
+  in_flight_.push_back({item, start, finish, finish - start});
   return finish;
 }
 
@@ -142,7 +146,7 @@ double ClientSession::request(ItemId item, double viewing_time,
   SKP_REQUIRE(next_probs.size() == cat_->n(),
               "probability vector size mismatch");
 
-  const double t0 = clock_.now();
+  const double t0 = now_;
   // Plans on the caller's row, which must outlive this call.
   const InstanceView inst(next_probs, cat_->r, viewing_time);
   inst.validate();
@@ -156,9 +160,9 @@ double ClientSession::request(ItemId item, double viewing_time,
     memo.selections = &*selection_cache_;
     memo.state_key = *context_key;
   }
-  engine_.plan_with_cache_cached(inst, cache_, &freq_, memo, scratch_,
-                                 plan_, oracle_next);
-  const PrefetchPlan& plan = plan_;
+  PrefetchPlan& plan = thread_plan();
+  engine_.plan_with_cache_cached(inst, cache_, &freq_, memo,
+                                 thread_plan_scratch(), plan, oracle_next);
   metrics_.solver_nodes += plan.solver_nodes;
   {
     std::size_t victim_idx = 0;
@@ -193,7 +197,7 @@ double ClientSession::request(ItemId item, double viewing_time,
 
   // The user views for `viewing_time`, then requests `item`.
   const double t_req = t0 + viewing_time;
-  clock_.run_until(t_req);
+  run_until(t_req);
 
   double T = 0.0;
   if (cache_.contains(item)) {
@@ -201,25 +205,25 @@ double ClientSession::request(ItemId item, double viewing_time,
   } else {
     if (net_.cancel_pending_on_demand) {
       // Extension: drop queued prefetches that have not started yet and
-      // free their cache slots (their victims are already gone).
-      std::vector<Transfer> kept;
-      double free_at = clock_.now();
-      for (const Transfer& t : in_flight_) {
-        if (t.is_prefetch && t.start >= t_req) {
-          cache_.erase(t.item);
-          unused_prefetch_[Instance::idx(t.item)] = 0;
-          ++metrics_.wasted_prefetches;
-          const double rt = cat_->r[Instance::idx(t.item)];
-          metrics_.network_time -= rt;
-          metrics_.prefetch_network_time -= rt;
-          --metrics_.prefetch_fetches;
-        } else {
-          kept.push_back(t);
-          free_at = std::max(free_at, t.finish);
-        }
+      // free their cache slots (their victims are already gone). Starts
+      // never decrease in queue order, so they form a suffix, and it
+      // holds only prefetches: a demand fetch starts before its own
+      // request() returns.
+      const auto first = std::partition_point(
+          in_flight_.begin(), in_flight_.end(),
+          [&](const Transfer& t) { return t.start < t_req; });
+      for (auto t = first; t != in_flight_.end(); ++t) {
+        cache_.erase(t->item);
+        unused_prefetch_[Instance::idx(t->item)] = 0;
+        ++metrics_.wasted_prefetches;
+        const double rt = cat_->r[Instance::idx(t->item)];
+        metrics_.network_time -= rt;
+        metrics_.prefetch_network_time -= rt;
+        --metrics_.prefetch_fetches;
       }
-      in_flight_ = std::move(kept);
-      link_free_at_ = free_at;
+      in_flight_.erase(first, in_flight_.end());
+      link_free_at_ =
+          in_flight_.empty() ? now_ : std::max(now_, in_flight_.back().finish);
     }
     // Demand fetch: waits behind every committed prefetch (the paper's
     // no-abort assumption) and must claim a victim when the cache is full.
@@ -234,7 +238,7 @@ double ClientSession::request(ItemId item, double viewing_time,
     } else {
       cache_.insert(item);
     }
-    const double finish = enqueue_transfer(item, false);
+    const double finish = enqueue_transfer(item);
     completion_[Instance::idx(item)] = finish;
     ++metrics_.demand_fetches;
     const double rt = cat_->r[Instance::idx(item)];
@@ -242,7 +246,7 @@ double ClientSession::request(ItemId item, double viewing_time,
     metrics_.demand_network_time += rt;
     T = finish - t_req;
   }
-  clock_.run_until(t_req + T);
+  run_until(t_req + T);
 
   cache_.record_access(freq_, item);
   SKP_ASSERT(cache_.order_consistent());

@@ -25,7 +25,6 @@
 #include "cache/cache.hpp"
 #include "cache/freq_tracker.hpp"
 #include "core/prefetch_engine.hpp"
-#include "sim/event_queue.hpp"
 #include "sim/fault.hpp"
 #include "sim/link_schedule.hpp"
 #include "sim/metrics.hpp"
@@ -172,46 +171,49 @@ class ClientSession {
   const SimMetrics& metrics() const noexcept { return metrics_; }
   const SlotCache& cache() const noexcept { return cache_; }
   const SharedClientCatalog& catalog() const noexcept { return *cat_; }
-  double now() const noexcept { return clock_.now(); }
+  double now() const noexcept { return now_; }
   // Fraction of elapsed time the link spent transferring.
   double link_utilization() const;
 
  private:
+  // One committed transfer. The link is a FIFO: every transfer starts at
+  // max(now, link_free_at_), so finish times never decrease in queue
+  // order and the queue front is always the next to complete.
   struct Transfer {
     ItemId item;
     double start;
     double finish;
-    bool is_prefetch;
+    double busy;  // link occupancy credited to utilization on completion
   };
 
   // Schedules a transfer after everything currently committed; returns its
   // completion time.
-  double enqueue_transfer(ItemId item, bool is_prefetch);
+  double enqueue_transfer(ItemId item);
   // Schedules a prefetch through the fault model (the reliable path when
   // faults are disarmed). nullopt = the retry budget was exhausted and
   // the transfer abandoned; the caller rolls the claimed slot back.
   std::optional<double> enqueue_prefetch(ItemId item);
+  // Advances the clock to `horizon`, completing (in queue order) every
+  // transfer that finishes by then.
+  void run_until(double horizon);
 
   std::shared_ptr<const SharedClientCatalog> cat_;
   NetConfig net_;
   PrefetchEngine engine_;
   SlotCache cache_;
   FreqTracker freq_;
-  EventQueue clock_;
   SimMetrics metrics_;
   FaultSpec fault_;       // default (disabled) = legacy reliable link
   Rng fault_rng_;         // dedicated stream, armed by set_fault_injection
   FaultStats fault_stats_;
+  double now_ = 0.0;
   double link_free_at_ = 0.0;
   double link_busy_total_ = 0.0;
-  std::vector<Transfer> in_flight_;  // committed, not yet completed
+  std::vector<Transfer> in_flight_;  // committed, not yet completed (FIFO)
   std::vector<char> unused_prefetch_;
   std::vector<double> completion_;   // per-item transfer completion time
-  // Per-cycle planning state, reused so request() never allocates after
-  // the first cycle: the retrieval-time catalog lives in cat_->r, P is
-  // the caller's next_probs row.
-  PlanScratch scratch_;
-  PrefetchPlan plan_;
+  // Planning scratch and the plan itself live only for one request(), so
+  // they are borrowed per thread (thread_plan_scratch()), not owned here.
   std::optional<PlanCache> plan_cache_;
   std::optional<PlanCache> selection_cache_;
 };

@@ -1,7 +1,9 @@
 #include "sim/netsim_stepper.hpp"
 
 #include <utility>
+#include <vector>
 
+#include "core/plan_scratch.hpp"
 #include "sim/fault.hpp"
 #include "util/require.hpp"
 
@@ -87,7 +89,6 @@ NetsimStepper::NetsimStepper(const SimSpec& spec,
     // state is outside the session's invalidation scope.
     mat_ = &catalog_->materialized();
     predictor_ = make_runtime_predictor(spec_.predictor, n);
-    P_.assign(n, 0.0);
   }
 }
 
@@ -140,9 +141,10 @@ void NetsimStepper::step_oracle() {
   if (planning && overload_.rung() != DegradationRung::kNormal) {
     // Degrade a copy — the source's rows are ground truth for every
     // later cycle.
-    degraded_.assign(row.begin(), row.end());
-    overload_.degrade_row(degraded_);
-    row = degraded_;
+    std::vector<double>& degraded = thread_plan_scratch().P;
+    degraded.assign(row.begin(), row.end());
+    overload_.degrade_row(degraded);
+    row = degraded;
   }
   const auto next =
       static_cast<ItemId>(source_->sample_from(state_, walk_));
@@ -166,12 +168,13 @@ void NetsimStepper::step_learned() {
   const TraceRecord& rec = mat_->cycles[i];
   std::span<const double> row = catalog_->zero_row();
   if (i >= spec_.predictor_warmup) {
-    predictor_->predict_into(P_);
-    for (double& p : P_) {
+    std::vector<double>& P = thread_plan_scratch().P;
+    predictor_->predict_into(P);
+    for (double& p : P) {
       if (p < spec_.predictor_min_prob) p = 0.0;
     }
-    overload_.degrade_row(P_);
-    row = P_;
+    overload_.degrade_row(P);
+    row = P;
   }
   std::optional<ItemId> oracle_next;
   if (spec_.policy == PrefetchPolicy::Perfect) oracle_next = rec.item;

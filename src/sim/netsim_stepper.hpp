@@ -23,7 +23,6 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <vector>
 
 #include "core/overload.hpp"
 #include "predict/predictor.hpp"
@@ -117,10 +116,10 @@ class NetsimStepper {
   std::size_t drift_period_ = 0;
   std::size_t state_ = 0;
   // Learned mode: shared materialized cycle script + private predictor.
+  // The row a step plans on (the prediction, or a degraded oracle row)
+  // lives only for that step, in thread_plan_scratch().P.
   const MaterializedWorkload* mat_ = nullptr;
   std::unique_ptr<Predictor> predictor_;
-  std::vector<double> P_;
-  std::vector<double> degraded_;  // oracle-row copy under degradation
   std::size_t executed_ = 0;
   std::uint64_t prev_prefetches_ = 0;
   std::uint64_t plans_ = 0;

@@ -137,6 +137,25 @@ TEST(ClientSession, CancelPendingRecoversQueuedTime) {
   EXPECT_DOUBLE_EQ(s.request(3, 1.0, P2), 10.0);
 }
 
+TEST(ClientSession, CancelledPrefetchNeverCompletes) {
+  // The scenario above, then a long cycle that carries the clock past
+  // where the cancelled prefetch of item 4 (queued for [11, 16]) would
+  // have finished. It never ran, so the link was busy only for items 1,
+  // 2 and 3 (1 + 10 + 2 = 13) out of 43 time units, and item 3 hits.
+  ServerCatalog cat{{3.0, 1.0, 10.0, 2.0, 5.0}};
+  NetConfig net;
+  net.cancel_pending_on_demand = true;
+  ClientSession s(cat, net, skp_engine(), 5);
+  const std::vector<double> P1{0.0, 0.6, 0.4, 0.0, 0.0};
+  EXPECT_DOUBLE_EQ(s.request(1, 2.0, P1), 0.0);
+  const std::vector<double> P2{0.0, 0.0, 0.0, 0.0, 1.0};
+  EXPECT_DOUBLE_EQ(s.request(3, 1.0, P2), 10.0);
+  const std::vector<double> zeros(5, 0.0);
+  EXPECT_EQ(s.request(3, 30.0, zeros), 0.0);
+  EXPECT_EQ(s.now(), 43.0);
+  EXPECT_EQ(s.link_utilization(), 13.0 / 43.0);
+}
+
 TEST(ClientSession, LatencyAddsPerTransfer) {
   ServerCatalog cat{{4.0, 1.0}};
   NetConfig net;

@@ -5,6 +5,9 @@
 // stepping each session alone. Read-mostly shared state (SharedCatalog)
 // is the only thing the sessions have in common, so any hidden write
 // through it shows up here (and as a data race under the tsan CI job).
+// Sessions on one thread also share that thread's step scratch; a
+// second test interleaves unlike sessions there and checks each against
+// its solo run.
 #include <cstdint>
 #include <future>
 #include <memory>
@@ -16,6 +19,7 @@
 #include "sim/netsim_stepper.hpp"
 #include "sim/runtime.hpp"
 #include "sim/session_store.hpp"
+#include "sim/skpd_protocol.hpp"
 #include "util/thread_pool.hpp"
 
 namespace skp {
@@ -185,6 +189,64 @@ TEST(ShardedSessionStore, ParallelShardSteppingBitIdenticalToSolo) {
     ++visited;
   });
   EXPECT_EQ(visited, kSessions);
+}
+
+TEST(NetsimStepper, InterleavedStepsOnOneThreadMatchSoloRuns) {
+  // Every stepper on a thread borrows the same planning scratch, plan
+  // and predictor row for the length of a step. Interleave sessions that
+  // size those buffers differently (catalogs of 20, 100 and 300 items),
+  // fill them differently (oracle rows, degraded copies, three learned
+  // predictors) and plan differently (KP, SKP, Perfect): each must still
+  // end exactly where a solo run_sim of its spec does.
+  std::vector<SimSpec> specs;
+  std::uint64_t seed = 40;
+  for (const std::size_t n : {20u, 100u, 300u}) {
+    for (const PredictorKind predictor :
+         {PredictorKind::Oracle, PredictorKind::Markov1, PredictorKind::Lz78,
+          PredictorKind::Ppm}) {
+      for (const PrefetchPolicy policy :
+           {PrefetchPolicy::KP, PrefetchPolicy::SKP,
+            PrefetchPolicy::Perfect}) {
+        SimSpec spec = stepper_spec(++seed, predictor);
+        spec.workload.n_items = n;
+        spec.cache_size = n / 5;
+        spec.policy = policy;
+        spec.requests = 60;
+        if (predictor == PredictorKind::Oracle) {
+          // A touchy controller, so degraded row copies are planned on.
+          spec.overload.enabled = true;
+          spec.overload.window = 4;
+          spec.overload.degrade_ratio = 1.05;
+          spec.overload.recover_ratio = 1.0;
+          spec.overload.headroom = 0.01;
+        }
+        specs.push_back(spec);
+      }
+    }
+  }
+
+  std::vector<std::unique_ptr<NetsimStepper>> steppers;
+  for (const SimSpec& spec : specs) {
+    steppers.push_back(std::make_unique<NetsimStepper>(spec));
+  }
+  bool any = true;
+  while (any) {
+    any = false;
+    for (auto& stepper : steppers) {
+      if (stepper->done()) continue;
+      stepper->step();
+      any = true;
+    }
+  }
+
+  bool degraded = false;
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    const SimResult got = steppers[i]->result();
+    EXPECT_EQ(encode_sim_result(got), encode_sim_result(run_sim(specs[i])))
+        << "spec " << i;
+    degraded = degraded || got.overload.degraded_requests > 0;
+  }
+  EXPECT_TRUE(degraded) << "no session planned on a degraded row";
 }
 
 TEST(SharedCatalog, InternsOneGroupPerSpec) {
