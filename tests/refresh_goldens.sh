@@ -2,15 +2,20 @@
 # Regenerates the scenario-matrix golden table (DISABLED_PrintGoldenTable)
 # and diffs it against the kGolden rows committed in
 # tests/test_scenario_matrix.cpp — the manual workflow the file header
-# documents, scripted (ROADMAP "Golden-file refresh workflow").
+# documents, scripted (ROADMAP "Golden-file refresh workflow"). Then runs
+# the byte-identity check (tests/output_digests.sh) against the committed
+# tests/output_digests.sha256.
 #
 # Usage:
 #   tests/refresh_goldens.sh [--apply] [BUILD_DIR]
 #
-#   (no flag)   print a unified diff; exit 0 when the committed goldens
-#               are current, 1 when they drifted (CI-friendly)
+#   (no flag)   print a unified diff and the outputs whose digests moved;
+#               exit 0 when both are current, 1 when either drifted
+#               (CI-friendly)
 #   --apply     additionally splice the regenerated rows into the source
-#               file in place
+#               file in place and rewrite tests/output_digests.sha256 —
+#               the only sanctioned digest refresh (record each refresh
+#               in CHANGES.md)
 #
 # BUILD_DIR defaults to "build" (must contain tests/test_scenario_matrix).
 set -euo pipefail
@@ -67,15 +72,27 @@ fi
 sed -n '/^const std::vector<GoldenRow> kGolden = {$/,/^};$/p' "$src" |
   grep -E '^\s+\{PredictorKind::|^\s+ScenarioWorkload::' > "$tmp_old"
 
+status=0
 if diff -u "$tmp_old" "$tmp_new" > /dev/null; then
   echo "goldens are current ($(grep -c 'PredictorKind' "$tmp_new") rows)"
+else
+  status=1
+  echo "golden table drifted:"
+  diff -u --label committed "$tmp_old" --label regenerated "$tmp_new" || true
+fi
+
+digests="$root/tests/output_digests.sha256"
+tmp_digests="$(mktemp)"
+trap 'rm -f "$tmp_new" "$tmp_old" "$tmp_digests"' EXIT
+"$root/tests/output_digests.sh" "$root/$build_dir" "$tmp_digests" ||
+  status=1
+if [[ "$status" == 0 ]]; then
   exit 0
 fi
 
-echo "golden table drifted:"
-diff -u --label committed "$tmp_old" --label regenerated "$tmp_new" || true
-
 if [[ "$apply" == 1 ]]; then
+  cp "$tmp_digests" "$digests"
+  echo "updated $digests"
   python3 - "$src" "$tmp_new" <<'EOF'
 import re
 import sys
@@ -103,4 +120,5 @@ fi
 
 echo
 echo "run with --apply to splice the regenerated rows into $src"
+echo "and rewrite $digests"
 exit 1
