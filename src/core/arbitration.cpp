@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "util/simd.hpp"
-
 namespace skp {
 
 ItemId choose_victim(InstanceView inst, std::span<const ItemId> cached,
@@ -11,37 +9,26 @@ ItemId choose_victim(InstanceView inst, std::span<const ItemId> cached,
   SKP_REQUIRE(!cached.empty(), "choose_victim over empty cache");
   SKP_REQUIRE(cfg.sub == SubArbitration::None || freq != nullptr,
               "sub-arbitration requires a FreqTracker");
-  // The Pr products are bulk-gathered a chunk at a time (util/simd.hpp —
-  // each lane an exact IEEE multiply), then the minimum scan runs over
-  // the chunk in the original ascending-k order. Sub scores stay lazy:
-  // computed only when an item becomes the running minimum or ties it.
-  // Every score is an exact IEEE load or single product, so the winner
-  // matches the one-at-a-time loop bit for bit.
-  constexpr std::size_t kChunk = 64;
-  double pr_buf[kChunk];
+  // Sub scores stay lazy: computed only when an item becomes the running
+  // minimum or ties it.
   ItemId victim = kNoItem;
   double victim_pr = 0.0;
   double victim_sub = 0.0;
-  for (std::size_t base = 0; base < cached.size(); base += kChunk) {
-    const std::size_t len = std::min(kChunk, cached.size() - base);
-    simd::gather_products(inst.P, inst.r, cached.subspan(base, len),
-                          pr_buf);
-    for (std::size_t j = 0; j < len; ++j) {
-      const ItemId i = cached[base + j];
-      const double pr = pr_buf[j];
-      if (victim == kNoItem || pr < victim_pr) {
-        victim = i;
-        victim_pr = pr;
-        victim_sub = sub_score(inst, freq, cfg.sub, i);
-        continue;
-      }
-      if (pr > victim_pr) continue;
-      // Pr tie: sub-arbitration, then lowest id for determinism.
-      const double s = sub_score(inst, freq, cfg.sub, i);
-      if (s < victim_sub || (s == victim_sub && i < victim)) {
-        victim = i;
-        victim_sub = s;
-      }
+  for (const ItemId i : cached) {
+    const std::size_t ii = InstanceView::idx(i);
+    const double pr = inst.P[ii] * inst.r[ii];
+    if (victim == kNoItem || pr < victim_pr) {
+      victim = i;
+      victim_pr = pr;
+      victim_sub = sub_score(inst, freq, cfg.sub, i);
+      continue;
+    }
+    if (pr > victim_pr) continue;
+    // Pr tie: sub-arbitration, then lowest id for determinism.
+    const double s = sub_score(inst, freq, cfg.sub, i);
+    if (s < victim_sub || (s == victim_sub && i < victim)) {
+      victim = i;
+      victim_sub = s;
     }
   }
   return victim;

@@ -8,11 +8,9 @@
 
 #include <future>
 
-#include "cache/cache.hpp"
-#include "cache/freq_tracker.hpp"
-#include "core/access_model.hpp"
 #include "predict/predictor.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/request_step.hpp"
 #include "sim/runtime.hpp"  // make_runtime_predictor
 #include "sim/session_store.hpp"
 #include "util/thread_pool.hpp"
@@ -35,8 +33,7 @@ struct Client {
   std::span<const TraceRecord> cycles;   // learned drive (view)
   std::span<const double> r;             // effective retrieval catalog (view)
   std::vector<double> P;                 // learned planning row
-  std::unique_ptr<SlotCache> cache;
-  std::unique_ptr<FreqTracker> freq;
+  std::optional<SlotClient> slots;       // cache, frequency book, prefetches
   Rng walk{0};
   std::size_t state = 0;
   std::size_t served = 0;
@@ -46,7 +43,6 @@ struct Client {
   double next_churn_at = 0.0;   // first departure boundary
   SimMetrics metrics;
   std::vector<double> completion;      // per-item transfer completion time
-  std::vector<char> unused_prefetch;
   // Per-client planning buffers (clients are stepped by one DES thread,
   // but each keeps its own scratch so cycles never allocate).
   PlanScratch scratch;
@@ -151,11 +147,10 @@ MultiClientResult run_multi_client(const MultiClientConfig& cfg) {
       cl.r = cl.chain->retrieval_times();
     }
     const std::size_t n = cl.r.size();
-    cl.cache = std::make_unique<SlotCache>(n, cfg.cache_size);
-    cl.freq = std::make_unique<FreqTracker>(n);
-    cl.cache->key_order(cfg.engine.arbitration.sub, cl.freq.get(), cl.r);
+    cl.slots.emplace(n, cfg.cache_size);
+    cl.slots->cache.key_order(cfg.engine.arbitration.sub, &cl.slots->freq,
+                              cl.r);
     cl.completion.assign(n, 0.0);
-    cl.unused_prefetch.assign(n, 0);
 
     if (kind == PredictorKind::Oracle) {
       // Memoization needs the state key to determine the planning inputs;
@@ -343,8 +338,8 @@ MultiClientResult run_multi_client(const MultiClientConfig& cfg) {
       const InstanceView inst(cl.P, cl.r, v);
       std::optional<ItemId> oracle;
       if (cfg.engine.policy == PrefetchPolicy::Perfect) oracle = next;
-      engine.plan_with_cache(inst, *cl.cache, cl.freq.get(), cl.scratch,
-                             cl.plan, oracle);
+      engine.plan_with_cache(inst, cl.slots->cache, &cl.slots->freq,
+                             cl.scratch, cl.plan, oracle);
     } else {
       // Oracle drive: plan against the chain's ground-truth row, then
       // sample the next request.
@@ -369,86 +364,47 @@ MultiClientResult run_multi_client(const MultiClientConfig& cfg) {
         memo.canon = &*cl.canon;
         memo.state_key = cl.state;
       }
-      engine.plan_with_cache_cached(inst, *cl.cache, cl.freq.get(), memo,
-                                    cl.scratch, cl.plan, oracle,
+      engine.plan_with_cache_cached(inst, cl.slots->cache, &cl.slots->freq,
+                                    memo, cl.scratch, cl.plan, oracle,
                                     cl.chain->successors(cl.state));
     }
     const PrefetchPlan& plan = cl.plan;
     if (!plan.fetch.empty()) ++plans_fired;
-    std::size_t victim_idx = 0;
-    for (const ItemId f : plan.fetch) {
-      if (cl.cache->full()) {
-        const ItemId d = plan.evict[victim_idx++];
-        if (cl.unused_prefetch[Instance::idx(d)]) {
-          ++cl.metrics.wasted_prefetches;
-          cl.unused_prefetch[Instance::idx(d)] = 0;
-        }
-        cl.cache->replace(d, f);
-      } else {
-        cl.cache->insert(f);
-      }
-      cl.unused_prefetch[Instance::idx(f)] = 1;
-      if (const std::optional<double> done =
-              enqueue_prefetch(cl.r[Instance::idx(f)])) {
-        cl.completion[Instance::idx(f)] = *done;
-      } else {
-        // Abandoned after exhausting its retry budget: release the slot
-        // it claimed (the victim is already gone) and fall back to a
-        // demand fetch if the item is ever actually requested.
-        cl.cache->erase(f);
-        cl.unused_prefetch[Instance::idx(f)] = 0;
-      }
-      ++cl.metrics.prefetch_fetches;
-      const double rt = cl.r[Instance::idx(f)];
-      cl.metrics.network_time += rt;
-      cl.metrics.prefetch_network_time += rt;
-    }
+    commit_plan(*cl.slots, plan, cl.r, cl.metrics, /*counted=*/true,
+                [&](ItemId f) {
+                  const std::optional<double> done =
+                      enqueue_prefetch(cl.r[Instance::idx(f)]);
+                  if (done) cl.completion[Instance::idx(f)] = *done;
+                  return done.has_value();
+                });
     cl.metrics.solver_nodes += plan.solver_nodes;
 
     const double t_req = t0 + v;
     clock.schedule_at(t_req, [&, c, next, v, t_req] {
       Client& me = *clients[c];
+      const bool hit = me.slots->cache.contains(next);
+      serve_request(*me.slots, next, me.r, cfg.engine.arbitration,
+                    me.metrics, /*counted=*/true, [&] {
+                      // The row in force this cycle arbitrates a learned
+                      // client's demand victim — the chainless analogue
+                      // of the oracle path's next-state row.
+                      if (me.predictor) return InstanceView(me.P, me.r, v);
+                      const auto s = static_cast<std::size_t>(next);
+                      return InstanceView(me.chain->transition_row(s),
+                                          me.r, me.chain->viewing_time(s));
+                    });
       double T = 0.0;
-      if (me.cache->contains(next)) {
+      if (hit) {
         T = std::max(0.0, me.completion[Instance::idx(next)] - t_req);
       } else {
         // Demand fetch queues behind every committed transfer — the
         // paper's no-abort assumption, now spanning all clients.
-        if (me.cache->full()) {
-          ItemId d = kNoItem;
-          if (me.predictor) {
-            // The row in force this cycle arbitrates the demand victim —
-            // the chainless analogue of the oracle path's next-state row.
-            d = choose_victim(InstanceView(me.P, me.r, v), *me.cache,
-                              me.freq.get(), cfg.engine.arbitration);
-          } else {
-            const auto s = static_cast<std::size_t>(next);
-            const InstanceView now_inst(me.chain->transition_row(s), me.r,
-                                        me.chain->viewing_time(s));
-            d = choose_victim(now_inst, *me.cache, me.freq.get(),
-                              cfg.engine.arbitration);
-          }
-          if (me.unused_prefetch[Instance::idx(d)]) {
-            ++me.metrics.wasted_prefetches;
-            me.unused_prefetch[Instance::idx(d)] = 0;
-          }
-          me.cache->replace(d, next);
-        } else {
-          me.cache->insert(next);
-        }
         const double finish = enqueue(me.r[Instance::idx(next)]);
         me.completion[Instance::idx(next)] = finish;
-        ++me.metrics.demand_fetches;
-        const double rt = me.r[Instance::idx(next)];
-        me.metrics.network_time += rt;
-        me.metrics.demand_network_time += rt;
         T = finish - t_req;
       }
-      me.cache->record_access(*me.freq, next);
-      SKP_ASSERT(me.cache->order_consistent());
       if (me.plans && volatile_plans) me.plans->bump_generation();
       if (me.predictor) me.predictor->observe(next);
-      me.unused_prefetch[Instance::idx(next)] = 0;
       me.metrics.access_time.add(T);
       ++me.metrics.requests;
       if (T == 0.0) ++me.metrics.hits;
@@ -481,14 +437,11 @@ MultiClientResult run_multi_client(const MultiClientConfig& cfg) {
         // frequency book, cold-restarts its predictor, and retires its
         // plan memo. Chain state and private streams survive, so a
         // churning client never shifts a sibling's request trajectory.
-        for (const ItemId item : me.cache->contents()) {
-          if (me.unused_prefetch[Instance::idx(item)]) {
-            ++me.metrics.wasted_prefetches;
-            me.unused_prefetch[Instance::idx(item)] = 0;
-          }
+        for (const ItemId item : me.slots->cache.contents()) {
+          if (me.slots->book.evicted(item)) ++me.metrics.wasted_prefetches;
         }
-        me.cache->clear();
-        me.freq->reset();
+        me.slots->cache.clear();
+        me.slots->freq.reset();
         if (me.predictor) {
           me.predictor = make_runtime_predictor(me.kind, me.r.size());
         }

@@ -62,16 +62,15 @@ ClientSession::ClientSession(
     : cat_(std::move(catalog)),
       net_(std::move(net)),
       engine_(engine),
-      cache_(deref_catalog(cat_).n(), cache_capacity),
-      freq_(cat_->n()),
-      unused_prefetch_(cat_->n(), 0) {
+      client_(deref_catalog(cat_).n(), cache_capacity) {
   SKP_REQUIRE(net_.bandwidth > 0.0, "bandwidth must be positive");
   SKP_REQUIRE(net_.latency >= 0.0, "latency must be >= 0");
   validate_link_schedule(net_.schedule);
   SKP_REQUIRE(cat_->r.size() == cat_->n(),
               "catalog retrieval-time vector size mismatch");
   completion_.assign(cat_->n(), 0.0);
-  cache_.key_order(engine_.config().arbitration.sub, &freq_, cat_->r);
+  client_.cache.key_order(engine_.config().arbitration.sub, &client_.freq,
+                          cat_->r);
 }
 
 void ClientSession::enable_plan_cache(std::size_t capacity) {
@@ -161,102 +160,65 @@ double ClientSession::request(ItemId item, double viewing_time,
     memo.state_key = *context_key;
   }
   PrefetchPlan& plan = thread_plan();
-  engine_.plan_with_cache_cached(inst, cache_, &freq_, memo,
+  engine_.plan_with_cache_cached(inst, client_.cache, &client_.freq, memo,
                                  thread_plan_scratch(), plan, oracle_next);
   metrics_.solver_nodes += plan.solver_nodes;
-  {
-    std::size_t victim_idx = 0;
-    for (ItemId f : plan.fetch) {
-      if (cache_.full()) {
-        SKP_ASSERT(victim_idx < plan.evict.size());
-        const ItemId d = plan.evict[victim_idx++];
-        if (unused_prefetch_[Instance::idx(d)]) {
-          ++metrics_.wasted_prefetches;
-          unused_prefetch_[Instance::idx(d)] = 0;
-        }
-        cache_.replace(d, f);
-      } else {
-        cache_.insert(f);
-      }
-      unused_prefetch_[Instance::idx(f)] = 1;
-      if (const std::optional<double> done = enqueue_prefetch(f)) {
-        completion_[Instance::idx(f)] = *done;
-      } else {
-        // Abandoned after exhausting its retry budget: release the slot
-        // it claimed (the victim is already gone) and fall back to a
-        // demand fetch if the item is ever actually requested.
-        cache_.erase(f);
-        unused_prefetch_[Instance::idx(f)] = 0;
-      }
-      ++metrics_.prefetch_fetches;
-      const double rt = cat_->r[Instance::idx(f)];
-      metrics_.network_time += rt;
-      metrics_.prefetch_network_time += rt;
-    }
-  }
+  commit_plan(client_, plan, cat_->r, metrics_, /*counted=*/true,
+              [&](ItemId f) {
+                const std::optional<double> done = enqueue_prefetch(f);
+                if (done) completion_[Instance::idx(f)] = *done;
+                return done.has_value();
+              });
 
   // The user views for `viewing_time`, then requests `item`.
   const double t_req = t0 + viewing_time;
   run_until(t_req);
 
+  const bool hit = client_.cache.contains(item);
+  if (!hit && net_.cancel_pending_on_demand) {
+    // Extension: drop queued prefetches that have not started yet and
+    // free their cache slots (their victims are already gone): each
+    // leaves unrequested, so it is a wasted prefetch whose wire time is
+    // refunded. Starts never decrease in queue order, so they form a
+    // suffix, and it holds only prefetches: a demand fetch starts before
+    // its own request() returns.
+    const auto first = std::partition_point(
+        in_flight_.begin(), in_flight_.end(),
+        [&](const Transfer& t) { return t.start < t_req; });
+    for (auto t = first; t != in_flight_.end(); ++t) {
+      client_.cache.erase(t->item);
+      if (client_.book.evicted(t->item)) ++metrics_.wasted_prefetches;
+      const double rt = cat_->r[Instance::idx(t->item)];
+      metrics_.network_time -= rt;
+      metrics_.prefetch_network_time -= rt;
+      --metrics_.prefetch_fetches;
+    }
+    in_flight_.erase(first, in_flight_.end());
+    link_free_at_ =
+        in_flight_.empty() ? now_ : std::max(now_, in_flight_.back().finish);
+  }
+  // A demand miss must claim a victim when the cache is full, chosen
+  // under the row in force during the cycle.
+  serve_request(client_, item, cat_->r, engine_.config().arbitration,
+                metrics_, /*counted=*/true, [&] { return inst; });
   double T = 0.0;
-  if (cache_.contains(item)) {
+  if (hit) {
     T = std::max(0.0, completion_[Instance::idx(item)] - t_req);
   } else {
-    if (net_.cancel_pending_on_demand) {
-      // Extension: drop queued prefetches that have not started yet and
-      // free their cache slots (their victims are already gone). Starts
-      // never decrease in queue order, so they form a suffix, and it
-      // holds only prefetches: a demand fetch starts before its own
-      // request() returns.
-      const auto first = std::partition_point(
-          in_flight_.begin(), in_flight_.end(),
-          [&](const Transfer& t) { return t.start < t_req; });
-      for (auto t = first; t != in_flight_.end(); ++t) {
-        cache_.erase(t->item);
-        unused_prefetch_[Instance::idx(t->item)] = 0;
-        ++metrics_.wasted_prefetches;
-        const double rt = cat_->r[Instance::idx(t->item)];
-        metrics_.network_time -= rt;
-        metrics_.prefetch_network_time -= rt;
-        --metrics_.prefetch_fetches;
-      }
-      in_flight_.erase(first, in_flight_.end());
-      link_free_at_ =
-          in_flight_.empty() ? now_ : std::max(now_, in_flight_.back().finish);
-    }
-    // Demand fetch: waits behind every committed prefetch (the paper's
-    // no-abort assumption) and must claim a victim when the cache is full.
-    if (cache_.full()) {
-      const ItemId d =
-          choose_victim(inst, cache_, &freq_, engine_.config().arbitration);
-      if (unused_prefetch_[Instance::idx(d)]) {
-        ++metrics_.wasted_prefetches;
-        unused_prefetch_[Instance::idx(d)] = 0;
-      }
-      cache_.replace(d, item);
-    } else {
-      cache_.insert(item);
-    }
+    // The demand fetch waits behind every committed prefetch (the
+    // paper's no-abort assumption).
     const double finish = enqueue_transfer(item);
     completion_[Instance::idx(item)] = finish;
-    ++metrics_.demand_fetches;
-    const double rt = cat_->r[Instance::idx(item)];
-    metrics_.network_time += rt;
-    metrics_.demand_network_time += rt;
     T = finish - t_req;
   }
   run_until(t_req + T);
 
-  cache_.record_access(freq_, item);
-  SKP_ASSERT(cache_.order_consistent());
-  // Under LFU/DS sub-arbitration the record above changes victim scores,
-  // invalidating every stored plan that consulted them.
+  // Under LFU/DS sub-arbitration the recorded access changed victim
+  // scores, invalidating every stored plan that consulted them.
   if (plan_cache_ &&
       engine_.config().arbitration.sub != SubArbitration::None) {
     plan_cache_->bump_generation();
   }
-  unused_prefetch_[Instance::idx(item)] = 0;
   metrics_.access_time.add(T);
   ++metrics_.requests;
   if (T == 0.0) ++metrics_.hits;

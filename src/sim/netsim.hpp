@@ -23,11 +23,11 @@
 #include <vector>
 
 #include "cache/cache.hpp"
-#include "cache/freq_tracker.hpp"
 #include "core/prefetch_engine.hpp"
 #include "sim/fault.hpp"
 #include "sim/link_schedule.hpp"
 #include "sim/metrics.hpp"
+#include "sim/request_step.hpp"
 #include "util/rng.hpp"
 
 namespace skp {
@@ -169,7 +169,7 @@ class ClientSession {
                  std::optional<std::uint64_t> context_key = std::nullopt);
 
   const SimMetrics& metrics() const noexcept { return metrics_; }
-  const SlotCache& cache() const noexcept { return cache_; }
+  const SlotCache& cache() const noexcept { return client_.cache; }
   const SharedClientCatalog& catalog() const noexcept { return *cat_; }
   double now() const noexcept { return now_; }
   // Fraction of elapsed time the link spent transferring.
@@ -200,8 +200,7 @@ class ClientSession {
   std::shared_ptr<const SharedClientCatalog> cat_;
   NetConfig net_;
   PrefetchEngine engine_;
-  SlotCache cache_;
-  FreqTracker freq_;
+  SlotClient client_;  // cache, frequency tracker, prefetch book
   SimMetrics metrics_;
   FaultSpec fault_;       // default (disabled) = legacy reliable link
   Rng fault_rng_;         // dedicated stream, armed by set_fault_injection
@@ -210,7 +209,6 @@ class ClientSession {
   double link_free_at_ = 0.0;
   double link_busy_total_ = 0.0;
   std::vector<Transfer> in_flight_;  // committed, not yet completed (FIFO)
-  std::vector<char> unused_prefetch_;
   std::vector<double> completion_;   // per-item transfer completion time
   // Planning scratch and the plan itself live only for one request(), so
   // they are borrowed per thread (thread_plan_scratch()), not owned here.

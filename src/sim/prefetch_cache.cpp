@@ -4,14 +4,12 @@
 #include <deque>
 #include <optional>
 
-#include "cache/cache.hpp"
-#include "cache/freq_tracker.hpp"
-#include "core/access_model.hpp"
 #include "core/lookahead.hpp"
 #include "predict/dependency_graph.hpp"
 #include "predict/lz78_predictor.hpp"
 #include "predict/markov_predictor.hpp"
 #include "predict/ppm_predictor.hpp"
+#include "sim/request_step.hpp"
 
 namespace skp {
 
@@ -44,262 +42,64 @@ std::unique_ptr<Predictor> make_predictor(PredictorKind kind,
   return nullptr;
 }
 
-}  // namespace
-
-PrefetchCacheResult run_prefetch_cache(const PrefetchCacheConfig& cfg,
-                                       MarkovSource& source, Rng& walk_rng) {
-  SKP_REQUIRE(cfg.cache_size >= 1, "cache_size must be >= 1");
-  const std::size_t n = source.n_states();
-
+// Engine and memo-tier setup of one prefetch_cache lane.
+EngineConfig lane_engine_config(const PrefetchCacheConfig& c) {
   EngineConfig ecfg;
-  ecfg.policy = cfg.policy;
-  ecfg.delta_rule = cfg.delta_rule;
-  ecfg.arbitration.sub = cfg.sub;
-  ecfg.arbitration.strict_ties = cfg.strict_ties;
-  ecfg.min_profit_threshold = cfg.min_profit_threshold;
+  ecfg.policy = c.policy;
+  ecfg.delta_rule = c.delta_rule;
+  ecfg.arbitration.sub = c.sub;
+  ecfg.arbitration.strict_ties = c.strict_ties;
+  ecfg.min_profit_threshold = c.min_profit_threshold;
   // Monte-Carlo hot loop: skip the per-round Eq.-(9) diagnostic no
   // counter consumes.
   ecfg.evaluate_plan_g = false;
-  const PrefetchEngine engine(ecfg);
-
-  SlotCache cache(n, cfg.cache_size);
-  FreqTracker freq(n);
-  cache.key_order(cfg.sub, &freq, source.retrieval_times());
-  auto predictor = make_predictor(cfg.predictor, n);
-
-  // Track which cached items were prefetched and never yet accessed so
-  // wasted prefetches can be charged when they are evicted unused.
-  std::vector<char> unused_prefetch(n, 0);
-
-  // The whole request loop runs allocation-free: the instance is a
-  // borrowed view (source row / predictor buffer), and `scratch`/`plan`
-  // recycle every planning buffer across the cfg.requests iterations.
-  PlanScratch scratch;
-  PrefetchPlan plan;
-
-  // Cross-request memoization, two tiers (core/plan_cache.hpp): completed
-  // plans keyed by (state, cache set), solver selections keyed by
-  // (state, candidate set) — the latter hits constantly even while the
-  // cache churns, and is valid under LFU/DS (the solve never reads
-  // frequencies). The canonical-order table additionally requires P to be
-  // the raw transition row (lookahead blends widen the support), so it is
-  // oracle-mode-only. Context the keys cannot see is handled by
-  // generation bumps below, which degrade the affected tier to a
-  // correctness-preserving no-op.
-  // Plans additionally depend on frequency state under LFU/DS
-  // sub-arbitration and on the predictor's evolving row. That context
-  // changes after EVERY request (a freq.record / predictor observation),
-  // which would bump the plan tier's generation each iteration — and a
-  // tier whose generation never repeats can never hit. Rather than pay
-  // ~2 probe runs per request for a structurally-dead tier, skip it
-  // entirely: all its counters read zero, which is exactly the hit count
-  // the always-bumped tier reported.
-  const bool volatile_plans =
-      predictor != nullptr || cfg.sub != SubArbitration::None;
-  std::optional<PlanCache> plans;
-  std::optional<PlanCache> selections;
-  std::optional<CanonicalOrderTable> canon;
-  if (cfg.use_plan_cache) {
-    if (!volatile_plans) {
-      plans.emplace(engine.config_digest(), cfg.plan_cache_capacity,
-                    /*doorkeeper=*/true);
-    }
-    // Selections depend only on the per-state probability row, which a
-    // learned predictor rewrites every observation — the tier could then
-    // never hit, so it is not consulted at all in predictor mode.
-    if (!predictor) {
-      selections.emplace(engine.config_digest(), cfg.plan_cache_capacity);
-    }
-    if (!predictor && cfg.lookahead_horizon <= 1) canon.emplace(n);
-  }
-
-  PrefetchCacheResult result;
-  auto& m = result.metrics;
-
-  // Phase-shift stream, derived from the config seed (not from walk_rng,
-  // so drifting and static runs share the walk stream between
-  // changepoints and the caller-supplied-source overload stays usable).
-  Rng drift_rng = Rng(cfg.seed).split(kPrefetchCacheDriftSalt);
-
-  std::size_t state = source.current_state();
-  if (predictor) predictor->observe(static_cast<ItemId>(state));
-
-  for (std::size_t req = 0; req < cfg.requests; ++req) {
-    const bool counted = req >= cfg.warmup;
-    if (cfg.drift_period != 0 && req != 0 && req % cfg.drift_period == 0) {
-      // Changepoint: the transition rows every memoized plan, solver
-      // selection and canonical order was computed from are gone.
-      source.redraw_transitions(cfg.source, drift_rng);
-      if (plans) plans->bump_generation();
-      if (selections) selections->bump_generation();
-      if (canon) canon->invalidate_all();
-    }
-
-    // What the prefetcher knows in the current state. In plain oracle
-    // mode P is the sparse transition row, and the source's successor
-    // list (ascending, exactly the positive entries) doubles as the
-    // engine's candidate-support hint.
-    InstanceView inst = source.view_at(state);
-    std::span<const ItemId> positive_hint = source.successors(state);
-    if (predictor) {
-      predictor->predict_into(scratch.P);
-      for (double& p : scratch.P) {
-        if (p < cfg.predictor_min_prob) p = 0.0;
-      }
-      inst.P = scratch.P;
-      positive_hint = {};  // dense support
-    } else if (cfg.lookahead_horizon > 1) {
-      horizon_probabilities_into(source, state, cfg.lookahead_horizon,
-                                 cfg.lookahead_decay, scratch.P);
-      inst.P = scratch.P;
-      positive_hint = {};  // blended rows widen the support
-    }
-
-    // The source decides the next request now; only the Perfect oracle may
-    // look at it.
-    const auto next = static_cast<ItemId>(source.step(walk_rng));
-    std::optional<ItemId> oracle;
-    if (cfg.policy == PrefetchPolicy::Perfect) oracle = next;
-
-    // Plan against the current cache (memoized when configured; a
-    // default PlanMemo makes this exactly plan_with_cache).
-    PlanMemo memo;
-    memo.plans = plans ? &*plans : nullptr;
-    memo.selections = selections ? &*selections : nullptr;
-    memo.canon = canon ? &*canon : nullptr;
-    memo.state_key = state;
-    engine.plan_with_cache_cached(inst, cache, &freq, memo, scratch, plan,
-                                  oracle, positive_hint);
-
-    // Realized access time (Section 5 cases) against the pre-plan cache:
-    // computed before the plan mutates the cache, which is exactly the
-    // "cache before" snapshot the model asks for — no copy needed, and
-    // membership via the presence bitmap instead of a contents scan.
-    const double T = realized_access_time_cached(
-        inst, plan.fetch, plan.evict, cache.presence(), next);
-
-    // Execute the prefetch.
-    {
-      std::size_t victim_idx = 0;
-      for (std::size_t k = 0; k < plan.fetch.size(); ++k) {
-        const ItemId f = plan.fetch[k];
-        if (cache.full()) {
-          SKP_ASSERT(victim_idx < plan.evict.size());
-          const ItemId d = plan.evict[victim_idx++];
-          if (unused_prefetch[InstanceView::idx(d)]) {
-            if (counted) ++m.wasted_prefetches;
-            unused_prefetch[InstanceView::idx(d)] = 0;
-          }
-          cache.replace(d, f);
-        } else {
-          cache.insert(f);
-        }
-        unused_prefetch[InstanceView::idx(f)] = 1;
-        if (counted) {
-          ++m.prefetch_fetches;
-          m.network_time += inst.r[InstanceView::idx(f)];
-          m.prefetch_network_time += inst.r[InstanceView::idx(f)];
-        }
-      }
-    }
-    if (counted) m.solver_nodes += plan.solver_nodes;
-
-    if (counted) {
-      m.access_time.add(T);
-      ++m.requests;
-      if (T == 0.0) ++m.hits;
-      if (T > source.viewing_time(state)) ++result.over_viewing_time;
-    }
-
-    // Serve the request: record frequency, learn, demand-fetch on miss.
-    cache.record_access(freq, next);
-    if (predictor) predictor->observe(next);
-    // The observation/record just invalidated every stored plan that
-    // depended on predictor or frequency state — which is why the plan
-    // tier was never instantiated under volatile_plans (selections are
-    // simply not consulted in predictor mode, see above).
-    unused_prefetch[InstanceView::idx(next)] = 0;
-
-    if (!cache.contains(next)) {
-      if (counted) {
-        ++m.demand_fetches;
-        m.network_time += source.retrieval_time(next);
-        m.demand_network_time += source.retrieval_time(next);
-      }
-      if (cache.full()) {
-        // "Demand-fetched item, however, must have a victim": minimal-Pr
-        // with the probabilities now in force (the new state's row).
-        // `inst` is not read past this point, so its P buffer is free to
-        // be overwritten by the new prediction.
-        InstanceView next_inst =
-            source.view_at(static_cast<std::size_t>(next));
-        if (predictor) {
-          predictor->predict_into(scratch.P);
-          next_inst.P = scratch.P;
-        }
-        const ItemId d =
-            choose_victim(next_inst, cache, &freq, ecfg.arbitration);
-        if (unused_prefetch[InstanceView::idx(d)]) {
-          if (counted) ++m.wasted_prefetches;
-          unused_prefetch[InstanceView::idx(d)] = 0;
-        }
-        cache.replace(d, next);
-      } else {
-        cache.insert(next);
-      }
-    }
-    SKP_ASSERT(cache.order_consistent());
-
-    state = static_cast<std::size_t>(next);
-  }
-  if (plans) result.plan_cache.plans = plans->stats();
-  if (selections) result.plan_cache.selections = selections->stats();
-  return result;
+  return ecfg;
 }
 
-PrefetchCacheResult run_prefetch_cache(const PrefetchCacheConfig& cfg) {
-  Rng build_rng(cfg.seed);
-  MarkovSource source(cfg.source, build_rng);
-  Rng walk_rng = build_rng.split(kPrefetchCacheWalkSalt);
-  // Deterministic initial state.
-  source.teleport(0);
-  return run_prefetch_cache(cfg, source, walk_rng);
-}
-
-namespace {
-
-// One lane of run_prefetch_cache_batch: the per-experiment state the solo
-// loop keeps on its stack, boxed so k lanes can advance in lockstep.
-struct BatchLane {
-  BatchLane(const PrefetchCacheConfig& c, std::size_t n,
-            PrefetchCacheResult* res)
-      : cfg(c), cache(n, c.cache_size), freq(n), unused_prefetch(n, 0),
+// One experiment of the prefetch_cache runner: everything a run keeps
+// across requests, boxed so k lanes can advance in lockstep over one
+// shared source. A solo run is a batch of one lane.
+struct Lane {
+  Lane(const PrefetchCacheConfig& c, std::size_t n,
+       std::span<const double> r, PrefetchCacheResult* res)
+      : cfg(c),
+        engine(lane_engine_config(c)),
+        client(n, c.cache_size),
+        predictor(make_predictor(c.predictor, n)),
         result(res) {
-    EngineConfig ecfg;
-    ecfg.policy = c.policy;
-    ecfg.delta_rule = c.delta_rule;
-    ecfg.arbitration.sub = c.sub;
-    ecfg.arbitration.strict_ties = c.strict_ties;
-    ecfg.min_profit_threshold = c.min_profit_threshold;
-    ecfg.evaluate_plan_g = false;  // as in the solo loop
-    engine.emplace(ecfg);
-    // Tier setup mirrors the solo loop (oracle mode): the plan tier is
-    // skipped when LFU/DS would bump its generation every request.
-    const bool volatile_plans = c.sub != SubArbitration::None;
-    if (c.use_plan_cache) {
-      if (!volatile_plans) {
-        plans.emplace(engine->config_digest(), c.plan_cache_capacity,
+    client.cache.key_order(c.sub, &client.freq, r);
+    // Cross-request memoization (core/plan_cache.hpp). A tier's key sees
+    // the state and the cache or candidate set; context it cannot see
+    // rules the tier out, since a generation bumped every request never
+    // hits:
+    //   plans      — LFU/DS scores move after every request, and so
+    //                does a learned row: oracle lanes with sub=None;
+    //   selections — a learned row changes every observation (the solve
+    //                never reads frequencies): oracle lanes;
+    //   canon      — needs the raw transition row, which lookahead
+    //                blends widen: oracle one-step lanes (one table,
+    //                shared by the runner).
+    // Drift changepoints bump every tier (see the request loop).
+    if (c.use_plan_cache && !predictor) {
+      if (c.sub == SubArbitration::None) {
+        plans.emplace(engine.config_digest(), c.plan_cache_capacity,
                       /*doorkeeper=*/true);
       }
-      selections.emplace(engine->config_digest(), c.plan_cache_capacity);
+      selections.emplace(engine.config_digest(), c.plan_cache_capacity);
     }
+  }
+
+  // Memoized oracle one-step lanes plan through plan_with_cache_batch
+  // with the shared canonical-order table; every other lane plans its
+  // own row through plan_with_cache_cached.
+  bool batched() const {
+    return cfg.use_plan_cache && !predictor && cfg.lookahead_horizon <= 1;
   }
 
   const PrefetchCacheConfig& cfg;
-  std::optional<PrefetchEngine> engine;
-  SlotCache cache;
-  FreqTracker freq;
-  std::vector<char> unused_prefetch;
+  PrefetchEngine engine;
+  SlotClient client;
+  std::unique_ptr<Predictor> predictor;
   PlanScratch scratch;
   PrefetchPlan plan;
   std::optional<PlanCache> plans;
@@ -307,98 +107,96 @@ struct BatchLane {
   PrefetchCacheResult* result;
 };
 
-}  // namespace
-
-std::vector<PrefetchCacheResult> run_prefetch_cache_batch(
-    std::span<const PrefetchCacheConfig> configs) {
+// The prefetch_cache runner: k lanes sharing one workload (source
+// config, seed, request count, drift schedule) over the caller's source
+// and walk stream. The source is stepped once per request for the whole
+// batch; lanes differ in cache size, policy, arbitration, thresholds,
+// predictor, lookahead or plan-cache settings.
+std::vector<PrefetchCacheResult> run_lanes(
+    std::span<const PrefetchCacheConfig> configs, MarkovSource& source,
+    Rng& walk_rng) {
   std::vector<PrefetchCacheResult> results(configs.size());
   if (configs.empty()) return results;
   const PrefetchCacheConfig& c0 = configs.front();
   for (const PrefetchCacheConfig& c : configs) {
     SKP_REQUIRE(c.cache_size >= 1, "cache_size must be >= 1");
-    SKP_REQUIRE(c.predictor == PredictorKind::Oracle &&
-                    c.lookahead_horizon <= 1,
-                "batched execution requires oracle one-step lanes");
     SKP_REQUIRE(c.source == c0.source && c.seed == c0.seed &&
                     c.requests == c0.requests &&
                     c.drift_period == c0.drift_period,
                 "batch lanes must share the workload "
                 "(source/seed/requests/drift)");
   }
-
-  // Shared workload: built exactly as the solo entry point builds it, so
-  // every lane sees the request stream its solo run would see.
-  Rng build_rng(c0.seed);
-  MarkovSource source(c0.source, build_rng);
-  Rng walk_rng = build_rng.split(kPrefetchCacheWalkSalt);
-  source.teleport(0);
   const std::size_t n = source.n_states();
-  Rng drift_rng = Rng(c0.seed).split(kPrefetchCacheDriftSalt);
 
-  std::deque<BatchLane> lanes;
-  bool any_plan_cache = false;
+  std::deque<Lane> lanes;
   for (std::size_t i = 0; i < configs.size(); ++i) {
-    BatchLane& lane = lanes.emplace_back(configs[i], n, &results[i]);
-    lane.cache.key_order(lane.cfg.sub, &lane.freq, source.retrieval_times());
-    any_plan_cache = any_plan_cache || configs[i].use_plan_cache;
+    lanes.emplace_back(configs[i], n, source.retrieval_times(), &results[i]);
   }
   // The canonical-order table depends only on the (shared) source rows,
-  // so one table serves every memoized lane — same row contents as each
-  // lane's solo table, built once instead of once per lane.
+  // so one table serves every batched lane.
   std::optional<CanonicalOrderTable> canon;
-  if (any_plan_cache) canon.emplace(n);
-
-  // Engine-level batching applies to memoized lanes sharing an engine
-  // config: group them, keep a persistent PlanBatchLane row per group
-  // (stable pointers; only state_key changes per request). Everything
-  // else plans solo — same results, just without the shared setup.
+  // Batched lanes sharing an engine config form one group with a
+  // persistent PlanBatchLane row each (stable pointers; only state_key
+  // changes per request).
   struct Group {
     const PrefetchEngine* engine;
     bool perfect;
     std::vector<PrefetchEngine::PlanBatchLane> rows;
   };
   std::vector<Group> groups;
-  std::vector<BatchLane*> solo;
-  for (BatchLane& lane : lanes) {
-    if (!lane.cfg.use_plan_cache) {
-      solo.push_back(&lane);
-      continue;
-    }
+  for (Lane& lane : lanes) {
+    if (!lane.batched()) continue;
+    if (!canon) canon.emplace(n);
     PrefetchEngine::PlanBatchLane row;
-    row.cache = &lane.cache;
-    row.freq = &lane.freq;
+    row.cache = &lane.client.cache;
+    row.freq = &lane.client.freq;
     row.memo.plans = lane.plans ? &*lane.plans : nullptr;
-    row.memo.selections = lane.selections ? &*lane.selections : nullptr;
+    row.memo.selections = &*lane.selections;
     row.memo.canon = &*canon;
     row.scratch = &lane.scratch;
     row.out = &lane.plan;
     Group* group = nullptr;
     for (Group& g : groups) {
-      if (g.engine->config_digest() == lane.engine->config_digest()) {
+      if (g.engine->config_digest() == lane.engine.config_digest()) {
         group = &g;
         break;
       }
     }
     if (group == nullptr) {
-      groups.push_back({&*lane.engine,
-                        lane.cfg.policy == PrefetchPolicy::Perfect,
-                        {}});
+      groups.push_back(
+          {&lane.engine, lane.cfg.policy == PrefetchPolicy::Perfect, {}});
       group = &groups.back();
     }
     group->rows.push_back(row);
   }
 
+  // Phase-shift stream, derived from the config seed (not from walk_rng,
+  // so drifting and static runs share the walk stream between
+  // changepoints and caller-supplied sources stay usable).
+  Rng drift_rng = Rng(c0.seed).split(kPrefetchCacheDriftSalt);
+
   std::size_t state = source.current_state();
+  for (Lane& lane : lanes) {
+    if (lane.predictor) lane.predictor->observe(static_cast<ItemId>(state));
+  }
+
   for (std::size_t req = 0; req < c0.requests; ++req) {
     if (c0.drift_period != 0 && req != 0 && req % c0.drift_period == 0) {
+      // Changepoint: the transition rows every memoized plan, solver
+      // selection and canonical order was computed from are gone.
       source.redraw_transitions(c0.source, drift_rng);
-      for (BatchLane& lane : lanes) {
+      for (Lane& lane : lanes) {
         if (lane.plans) lane.plans->bump_generation();
         if (lane.selections) lane.selections->bump_generation();
       }
       if (canon) canon->invalidate_all();
     }
 
+    // What an oracle prefetcher knows in the current state: P is the
+    // sparse transition row, and the source's successor list (ascending,
+    // exactly the positive entries) doubles as the engine's
+    // candidate-support hint. The source then decides the next request;
+    // only the Perfect oracle may look at it.
     const InstanceView inst = source.view_at(state);
     const std::span<const ItemId> positive_hint = source.successors(state);
     const auto next = static_cast<ItemId>(source.step(walk_rng));
@@ -412,92 +210,99 @@ std::vector<PrefetchCacheResult> run_prefetch_cache_batch(
           g.perfect ? std::optional<ItemId>(next) : std::nullopt,
           positive_hint);
     }
-    for (BatchLane* lane : solo) {
-      std::optional<ItemId> oracle;
-      if (lane->cfg.policy == PrefetchPolicy::Perfect) oracle = next;
-      PlanMemo memo;
-      memo.state_key = state;
-      lane->engine->plan_with_cache_cached(inst, lane->cache, &lane->freq,
-                                           memo, lane->scratch, lane->plan,
-                                           oracle, positive_hint);
-    }
 
-    // Per-lane bookkeeping: the solo loop's post-plan block, verbatim
-    // (oracle mode, so without the predictor branches).
-    for (BatchLane& lane : lanes) {
-      const bool counted = req >= lane.cfg.warmup;
-      auto& m = lane.result->metrics;
-      const PrefetchPlan& plan = lane.plan;
-      SlotCache& cache = lane.cache;
-      const double T = realized_access_time_cached(
-          inst, plan.fetch, plan.evict, cache.presence(), next);
-
-      std::size_t victim_idx = 0;
-      for (std::size_t k = 0; k < plan.fetch.size(); ++k) {
-        const ItemId f = plan.fetch[k];
-        if (cache.full()) {
-          SKP_ASSERT(victim_idx < plan.evict.size());
-          const ItemId d = plan.evict[victim_idx++];
-          if (lane.unused_prefetch[InstanceView::idx(d)]) {
-            if (counted) ++m.wasted_prefetches;
-            lane.unused_prefetch[InstanceView::idx(d)] = 0;
+    for (Lane& lane : lanes) {
+      const PrefetchCacheConfig& c = lane.cfg;
+      InstanceView row = inst;
+      if (!lane.batched()) {
+        std::span<const ItemId> hint = positive_hint;
+        if (lane.predictor) {
+          lane.predictor->predict_into(lane.scratch.P);
+          for (double& p : lane.scratch.P) {
+            if (p < c.predictor_min_prob) p = 0.0;
           }
-          cache.replace(d, f);
-        } else {
-          cache.insert(f);
+          row.P = lane.scratch.P;
+          hint = {};  // dense support
+        } else if (c.lookahead_horizon > 1) {
+          horizon_probabilities_into(source, state, c.lookahead_horizon,
+                                     c.lookahead_decay, lane.scratch.P);
+          row.P = lane.scratch.P;
+          hint = {};  // blended rows widen the support
         }
-        lane.unused_prefetch[InstanceView::idx(f)] = 1;
-        if (counted) {
-          ++m.prefetch_fetches;
-          m.network_time += inst.r[InstanceView::idx(f)];
-          m.prefetch_network_time += inst.r[InstanceView::idx(f)];
-        }
+        PlanMemo memo;
+        memo.plans = lane.plans ? &*lane.plans : nullptr;
+        memo.selections = lane.selections ? &*lane.selections : nullptr;
+        memo.state_key = state;
+        std::optional<ItemId> oracle;
+        if (c.policy == PrefetchPolicy::Perfect) oracle = next;
+        lane.engine.plan_with_cache_cached(row, lane.client.cache,
+                                           &lane.client.freq, memo,
+                                           lane.scratch, lane.plan, oracle,
+                                           hint);
       }
-      if (counted) m.solver_nodes += plan.solver_nodes;
 
-      if (counted) {
-        m.access_time.add(T);
-        ++m.requests;
-        if (T == 0.0) ++m.hits;
-        if (T > source.viewing_time(state)) ++lane.result->over_viewing_time;
+      const bool counted = req >= c.warmup;
+      if (lane.predictor) lane.predictor->observe(next);
+      const double T = monte_carlo_step(
+          lane.client, row, lane.plan, next,
+          lane.engine.config().arbitration, lane.result->metrics, counted,
+          [&] {
+            // "Demand-fetched item, however, must have a victim":
+            // minimal-Pr with the probabilities now in force (the new
+            // state's row). `row` is not read past this point, so its P
+            // buffer is free to take the new prediction.
+            InstanceView next_row =
+                source.view_at(static_cast<std::size_t>(next));
+            if (lane.predictor) {
+              lane.predictor->predict_into(lane.scratch.P);
+              next_row.P = lane.scratch.P;
+            }
+            return next_row;
+          });
+      if (counted && T > source.viewing_time(state)) {
+        ++lane.result->over_viewing_time;
       }
-
-      cache.record_access(lane.freq, next);
-      lane.unused_prefetch[InstanceView::idx(next)] = 0;
-
-      if (!cache.contains(next)) {
-        if (counted) {
-          ++m.demand_fetches;
-          m.network_time += source.retrieval_time(next);
-          m.demand_network_time += source.retrieval_time(next);
-        }
-        if (cache.full()) {
-          const InstanceView next_inst =
-              source.view_at(static_cast<std::size_t>(next));
-          const ItemId d = choose_victim(next_inst, cache, &lane.freq,
-                                         lane.engine->config().arbitration);
-          if (lane.unused_prefetch[InstanceView::idx(d)]) {
-            if (counted) ++m.wasted_prefetches;
-            lane.unused_prefetch[InstanceView::idx(d)] = 0;
-          }
-          cache.replace(d, next);
-        } else {
-          cache.insert(next);
-        }
-      }
-      SKP_ASSERT(cache.order_consistent());
     }
 
     state = static_cast<std::size_t>(next);
   }
 
-  for (BatchLane& lane : lanes) {
+  for (Lane& lane : lanes) {
     if (lane.plans) lane.result->plan_cache.plans = lane.plans->stats();
     if (lane.selections) {
       lane.result->plan_cache.selections = lane.selections->stats();
     }
   }
   return results;
+}
+
+// The seed layout of the default entry points: the source is built from
+// Rng(seed), the walk is its kPrefetchCacheWalkSalt child, and the walk
+// starts in state 0.
+std::vector<PrefetchCacheResult> run_seeded(
+    std::span<const PrefetchCacheConfig> configs) {
+  if (configs.empty()) return {};
+  Rng build_rng(configs.front().seed);
+  MarkovSource source(configs.front().source, build_rng);
+  Rng walk_rng = build_rng.split(kPrefetchCacheWalkSalt);
+  source.teleport(0);
+  return run_lanes(configs, source, walk_rng);
+}
+
+}  // namespace
+
+PrefetchCacheResult run_prefetch_cache(const PrefetchCacheConfig& cfg) {
+  return run_seeded({&cfg, 1}).front();
+}
+
+PrefetchCacheResult run_prefetch_cache(const PrefetchCacheConfig& cfg,
+                                       MarkovSource& source, Rng& walk_rng) {
+  return run_lanes({&cfg, 1}, source, walk_rng).front();
+}
+
+std::vector<PrefetchCacheResult> run_prefetch_cache_batch(
+    std::span<const PrefetchCacheConfig> configs) {
+  return run_seeded(configs);
 }
 
 PrefetchCacheResult run_prefetch_cache_sized(
@@ -522,20 +327,19 @@ PrefetchCacheResult run_prefetch_cache_sized(
   ecfg.delta_rule = cfg.delta_rule;
   ecfg.arbitration.sub = cfg.sub;
   ecfg.arbitration.strict_ties = cfg.strict_ties;
-  ecfg.evaluate_plan_g = false;  // as in the slot loop
+  ecfg.evaluate_plan_g = false;  // as in the slot runner
   const PrefetchEngine engine(ecfg);
 
   SizedCache cache(sizes, cfg.capacity);
   FreqTracker freq(n);
-  std::vector<char> unused_prefetch(n, 0);
+  PrefetchBook book(n);
 
   // Allocation-free request loop: borrowed views + recycled buffers, as in
-  // the slot-cache loop above; memoization keyed by the SizedCache
-  // fingerprint (oracle rows, so the canonical table always applies —
-  // LFU/DS frequency context is generation-bumped as in the slot loop).
+  // the slot-cache runner above; memoization keyed by the SizedCache
+  // fingerprint (oracle rows, so the canonical table always applies).
   PlanScratch scratch;
   PrefetchPlan plan;
-  // As in the slot loop: under LFU/DS the plan tier's generation would
+  // As in the slot runner: under LFU/DS the plan tier's generation would
   // bump after every request, so the tier can never hit — skip it.
   const bool volatile_plans = cfg.sub != SubArbitration::None;
   std::optional<PlanCache> plans;
@@ -571,43 +375,28 @@ PrefetchCacheResult run_prefetch_cache_sized(
                                         source.successors(state));
 
     // Realized access time against the pre-plan cache (computed before the
-    // plan executes; see the slot loop).
+    // plan executes; see monte_carlo_step).
     const double T = realized_access_time_cached(
         inst, plan.fetch, plan.evict, cache.presence(), next);
 
     for (const ItemId d : plan.evict) {
-      if (unused_prefetch[InstanceView::idx(d)]) {
-        if (counted) ++m.wasted_prefetches;
-        unused_prefetch[InstanceView::idx(d)] = 0;
-      }
+      if (book.evicted(d) && counted) ++m.wasted_prefetches;
       cache.erase(d);
     }
     for (const ItemId f : plan.fetch) {
       cache.insert(f);
-      unused_prefetch[InstanceView::idx(f)] = 1;
-      if (counted) {
-        ++m.prefetch_fetches;
-        m.network_time += inst.r[InstanceView::idx(f)];
-        m.prefetch_network_time += inst.r[InstanceView::idx(f)];
-      }
+      book.prefetched(f);
+      if (counted) charge_prefetch(m, inst.r[InstanceView::idx(f)]);
     }
-    if (counted) m.solver_nodes += plan.solver_nodes;
-
     if (counted) {
-      m.access_time.add(T);
-      ++m.requests;
-      if (T == 0.0) ++m.hits;
+      account_step(m, plan, T);
       if (T > source.viewing_time(state)) ++result.over_viewing_time;
     }
 
     freq.record(next);
-    unused_prefetch[InstanceView::idx(next)] = 0;
+    book.requested(next);
     if (!cache.contains(next)) {
-      if (counted) {
-        ++m.demand_fetches;
-        m.network_time += source.retrieval_time(next);
-        m.demand_network_time += source.retrieval_time(next);
-      }
+      if (counted) charge_demand(m, inst.r[InstanceView::idx(next)]);
       if (cache.cacheable(next)) {
         const InstanceView next_inst =
             source.view_at(static_cast<std::size_t>(next));
@@ -616,10 +405,7 @@ PrefetchCacheResult run_prefetch_cache_sized(
                                        scratch.pool, scratch.victims);
         SKP_ASSERT(scratch.victims.ok);
         for (const ItemId d : scratch.victims.victims) {
-          if (unused_prefetch[InstanceView::idx(d)]) {
-            if (counted) ++m.wasted_prefetches;
-            unused_prefetch[InstanceView::idx(d)] = 0;
-          }
+          if (book.evicted(d) && counted) ++m.wasted_prefetches;
           cache.erase(d);
         }
         cache.insert(next);

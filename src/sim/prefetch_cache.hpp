@@ -102,16 +102,16 @@ PrefetchCacheResult run_prefetch_cache(const PrefetchCacheConfig& config,
                                        MarkovSource& source, Rng& walk_rng);
 
 // Lockstep batch execution: runs k experiments that share one workload
-// (identical source config, seed, request count, and drift schedule;
-// oracle predictor, lookahead_horizon <= 1) but may differ in cache
-// size, policy, arbitration, thresholds, or plan-cache settings. The
-// source is built and stepped ONCE per request for the whole batch, the
-// canonical-order table is shared, and lanes with identical engine
-// configs are planned through PrefetchEngine::plan_with_cache_batch.
-// Every lane's result (metrics AND plan-cache counters) is bit-identical
-// to run_prefetch_cache on that lane's config alone; batching changes
-// where setup work happens, never what is computed (tests/test_simd.cpp
-// pins batch == loop). Results are returned in input order.
+// (identical source config, seed, request count, and drift schedule) but
+// may differ in cache size, policy, arbitration, thresholds, predictor,
+// lookahead or plan-cache settings. The source is built and stepped ONCE
+// per request for the whole batch, and memoized oracle one-step lanes
+// with identical engine configs are planned through
+// PrefetchEngine::plan_with_cache_batch over one shared canonical-order
+// table. There is one runner: a solo run above is a batch of one lane, so
+// every lane's result (metrics AND plan-cache counters) is bit-identical
+// to run_prefetch_cache on that lane's config alone (tests/test_simd.cpp
+// pins batch == solo). Results are returned in input order.
 std::vector<PrefetchCacheResult> run_prefetch_cache_batch(
     std::span<const PrefetchCacheConfig> configs);
 

@@ -168,6 +168,32 @@ SimResult from_prefetch_cache_result(const PrefetchCacheResult& res) {
   return out;
 }
 
+// The slot-cache prefetch_cache lowering, shared by the driver and the
+// lockstep batch path; the workload's source is the caller's.
+PrefetchCacheConfig lower_prefetch_cache(const SimSpec& spec) {
+  PrefetchCacheConfig cfg;
+  cfg.cache_size = spec.cache_size;
+  cfg.policy = spec.policy;
+  cfg.sub = spec.sub;
+  cfg.delta_rule = spec.delta_rule;
+  cfg.requests = spec.requests;
+  cfg.warmup = spec.warmup;
+  cfg.seed = spec.seed;
+  cfg.predictor = spec.predictor;
+  cfg.predictor_min_prob = spec.predictor_min_prob;
+  cfg.min_profit_threshold = spec.min_profit_threshold;
+  cfg.use_plan_cache = spec.use_plan_cache;
+  cfg.plan_cache_capacity = spec.plan_cache_capacity;
+  if (spec.workload.kind == SimWorkloadKind::Markov ||
+      spec.workload.kind == SimWorkloadKind::MarkovDrift) {
+    cfg.source = to_markov_config(spec.workload);
+  }
+  if (spec.workload.kind == SimWorkloadKind::MarkovDrift) {
+    cfg.drift_period = spec.workload.drift_period;
+  }
+  return cfg;
+}
+
 SimResult run_prefetch_cache_driver(const SimSpec& spec) {
   const SimWorkload& w = spec.workload;
   SKP_REQUIRE(spec.predictor_warmup == 0,
@@ -203,26 +229,10 @@ SimResult run_prefetch_cache_driver(const SimSpec& spec) {
     return from_prefetch_cache_result(run_prefetch_cache_sized(cfg));
   }
 
-  PrefetchCacheConfig cfg;
-  cfg.cache_size = spec.cache_size;
-  cfg.policy = spec.policy;
-  cfg.sub = spec.sub;
-  cfg.delta_rule = spec.delta_rule;
-  cfg.requests = spec.requests;
-  cfg.warmup = spec.warmup;
-  cfg.seed = spec.seed;
-  cfg.predictor = spec.predictor;
-  cfg.predictor_min_prob = spec.predictor_min_prob;
-  cfg.min_profit_threshold = spec.min_profit_threshold;
-  cfg.use_plan_cache = spec.use_plan_cache;
-  cfg.plan_cache_capacity = spec.plan_cache_capacity;
+  const PrefetchCacheConfig cfg = lower_prefetch_cache(spec);
   switch (w.kind) {
     case SimWorkloadKind::Markov:
-      cfg.source = to_markov_config(w);
-      return from_prefetch_cache_result(run_prefetch_cache(cfg));
     case SimWorkloadKind::MarkovDrift:
-      cfg.source = to_markov_config(w);
-      cfg.drift_period = w.drift_period;
       return from_prefetch_cache_result(run_prefetch_cache(cfg));
     case SimWorkloadKind::Zipf:
     case SimWorkloadKind::Adversarial: {
@@ -278,11 +288,9 @@ SimResult run_trace_replay_driver(const SimSpec& spec) {
   cfg.predictor_min_prob = spec.predictor_min_prob;
   cfg.min_profit_threshold = spec.min_profit_threshold;
   cfg.warmup = spec.warmup;
-  cfg.use_plan_cache = spec.use_plan_cache;
-  cfg.plan_cache_capacity = spec.plan_cache_capacity;
 
   SimResult out;
-  out.metrics = replay_trace(trace, cfg, &out.plan_cache);
+  out.metrics = replay_trace(trace, cfg);
   return out;
 }
 
@@ -574,9 +582,18 @@ const SimDriver* find_driver(std::string_view name) {
   return nullptr;
 }
 
-SimResult run_sim(const SimSpec& spec) {
+namespace {
+
+// The checks every spec passes before any driver runs it.
+void check_common(const SimSpec& spec) {
   SKP_REQUIRE(spec.workload.n_items >= 2, "n_items must be >= 2");
   SKP_REQUIRE(spec.requests >= 1, "requests must be >= 1");
+}
+
+}  // namespace
+
+SimResult run_sim(const SimSpec& spec) {
+  check_common(spec);
   return find_driver(spec.driver).run(spec);
 }
 
@@ -602,25 +619,6 @@ bool batchable_spec(const SimSpec& spec) {
          spec.multi_client == MultiClientSpec{};
 }
 
-PrefetchCacheConfig lower_batchable(const SimSpec& spec) {
-  PrefetchCacheConfig cfg;
-  cfg.source = to_markov_config(spec.workload);
-  cfg.cache_size = spec.cache_size;
-  cfg.policy = spec.policy;
-  cfg.sub = spec.sub;
-  cfg.delta_rule = spec.delta_rule;
-  cfg.requests = spec.requests;
-  cfg.warmup = spec.warmup;
-  cfg.seed = spec.seed;
-  cfg.min_profit_threshold = spec.min_profit_threshold;
-  cfg.use_plan_cache = spec.use_plan_cache;
-  cfg.plan_cache_capacity = spec.plan_cache_capacity;
-  if (spec.workload.kind == SimWorkloadKind::MarkovDrift) {
-    cfg.drift_period = spec.workload.drift_period;
-  }
-  return cfg;
-}
-
 bool same_batch_workload(const PrefetchCacheConfig& a,
                          const PrefetchCacheConfig& b) {
   return a.source == b.source && a.seed == b.seed &&
@@ -638,7 +636,7 @@ std::vector<SimResult> run_sim_batch(std::span<const SimSpec> specs) {
   std::vector<SimResult> results(specs.size());
   std::vector<std::optional<PrefetchCacheConfig>> lowered(specs.size());
   for (std::size_t i = 0; i < specs.size(); ++i) {
-    if (batchable_spec(specs[i])) lowered[i] = lower_batchable(specs[i]);
+    if (batchable_spec(specs[i])) lowered[i] = lower_prefetch_cache(specs[i]);
   }
 
   std::size_t i = 0;
@@ -648,23 +646,23 @@ std::vector<SimResult> run_sim_batch(std::span<const SimSpec> specs) {
       ++i;
       continue;
     }
-    // Greedy run of consecutive lanes sharing the workload.
+    // Greedy run of consecutive lanes sharing the workload; a run of one
+    // is a one-lane batch, exactly what run_sim would execute.
     std::size_t j = i + 1;
     while (j < specs.size() && j - i < kMaxLanes && lowered[j] &&
            same_batch_workload(*lowered[i], *lowered[j])) {
       ++j;
     }
-    if (j - i == 1) {
-      results[i] = run_sim(specs[i]);
-    } else {
-      std::vector<PrefetchCacheConfig> cfgs;
-      cfgs.reserve(j - i);
-      for (std::size_t k = i; k < j; ++k) cfgs.push_back(*lowered[k]);
-      const std::vector<PrefetchCacheResult> batch =
-          run_prefetch_cache_batch(cfgs);
-      for (std::size_t k = i; k < j; ++k) {
-        results[k] = from_prefetch_cache_result(batch[k - i]);
-      }
+    std::vector<PrefetchCacheConfig> cfgs;
+    cfgs.reserve(j - i);
+    for (std::size_t k = i; k < j; ++k) {
+      check_common(specs[k]);
+      cfgs.push_back(*lowered[k]);
+    }
+    const std::vector<PrefetchCacheResult> batch =
+        run_prefetch_cache_batch(cfgs);
+    for (std::size_t k = i; k < j; ++k) {
+      results[k] = from_prefetch_cache_result(batch[k - i]);
     }
     i = j;
   }

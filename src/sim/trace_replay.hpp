@@ -25,22 +25,11 @@ struct TraceReplayConfig {
   double predictor_min_prob = 0.01;
   double min_profit_threshold = 0.0;
   std::size_t warmup = 0;  // leading requests excluded from metrics
-  // Plan memoization (core/plan_cache.hpp). Replay plans with an
-  // always-learning predictor depend on the full observation history, so
-  // the plan tier's generation is bumped every request (stored plans are
-  // never replayed; the doorkeeper keeps that to two array writes per
-  // miss) and the selection tier is not consulted at all — the wiring
-  // proves the overhead bound and reports honest all-miss stats.
-  // Bit-identical on or off.
-  bool use_plan_cache = true;
-  std::size_t plan_cache_capacity = PlanCache::kDefaultCapacity;
 };
 
 // Replays `trace` and returns the aggregate metrics. Throws when the
 // config asks for the oracle predictor (a trace carries no ground-truth
-// probabilities) or the trace is empty. `plan_cache_stats`, when
-// non-null, receives the memoization counters.
-SimMetrics replay_trace(const Trace& trace, const TraceReplayConfig& cfg,
-                        PlanMemoStats* plan_cache_stats = nullptr);
+// probabilities) or the trace is empty.
+SimMetrics replay_trace(const Trace& trace, const TraceReplayConfig& cfg);
 
 }  // namespace skp

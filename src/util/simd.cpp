@@ -17,15 +17,6 @@ namespace {
 
 // ---- scalar reference paths ---------------------------------------------
 
-void gather_products_scalar(std::span<const double> P,
-                            std::span<const double> r,
-                            std::span<const ItemId> ids, double* out) {
-  for (std::size_t k = 0; k < ids.size(); ++k) {
-    const auto i = static_cast<std::size_t>(ids[k]);
-    out[k] = P[i] * r[i];
-  }
-}
-
 void suffix_sums_scalar(std::span<const double> P,
                         std::span<const ItemId> ids, double* out) {
   const std::size_t m = ids.size();
@@ -50,24 +41,6 @@ double masked_time_sum_scalar(std::span<const double> P,
 // ---- SSE2 (x86-64 baseline) ---------------------------------------------
 // No hardware gather: assemble pairs with set_pd, vectorize the multiply.
 // Each product is a single IEEE mulpd lane — bit-identical to scalar.
-
-void gather_products_sse2(std::span<const double> P,
-                          std::span<const double> r,
-                          std::span<const ItemId> ids, double* out) {
-  std::size_t k = 0;
-  const std::size_t m = ids.size();
-  for (; k + 2 <= m; k += 2) {
-    const auto i0 = static_cast<std::size_t>(ids[k]);
-    const auto i1 = static_cast<std::size_t>(ids[k + 1]);
-    const __m128d p = _mm_set_pd(P[i1], P[i0]);
-    const __m128d rr = _mm_set_pd(r[i1], r[i0]);
-    _mm_storeu_pd(out + k, _mm_mul_pd(p, rr));
-  }
-  for (; k < m; ++k) {
-    const auto i = static_cast<std::size_t>(ids[k]);
-    out[k] = P[i] * r[i];
-  }
-}
 
 void gather_values_sse2(std::span<const double> values,
                         std::span<const ItemId> ids, double* out) {
@@ -130,24 +103,6 @@ double masked_time_sum_sse2(std::span<const double> P,
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 #endif
-
-__attribute__((target("avx2"))) void gather_products_avx2(
-    std::span<const double> P, std::span<const double> r,
-    std::span<const ItemId> ids, double* out) {
-  std::size_t k = 0;
-  const std::size_t m = ids.size();
-  for (; k + 4 <= m; k += 4) {
-    const __m128i idx = _mm_loadu_si128(
-        reinterpret_cast<const __m128i*>(ids.data() + k));
-    const __m256d p = _mm256_i32gather_pd(P.data(), idx, 8);
-    const __m256d rr = _mm256_i32gather_pd(r.data(), idx, 8);
-    _mm256_storeu_pd(out + k, _mm256_mul_pd(p, rr));
-  }
-  for (; k < m; ++k) {
-    const auto i = static_cast<std::size_t>(ids[k]);
-    out[k] = P[i] * r[i];
-  }
-}
 
 __attribute__((target("avx2"))) void gather_values_avx2(
     std::span<const double> values, std::span<const ItemId> ids,
@@ -241,18 +196,6 @@ Isa active_isa() noexcept {
   return isa;
 }
 
-void gather_products_isa(Isa isa, std::span<const double> P,
-                         std::span<const double> r,
-                         std::span<const ItemId> ids, double* out) {
-#if SKP_SIMD_X86
-  if (isa == Isa::Avx2) return gather_products_avx2(P, r, ids, out);
-  if (isa == Isa::Sse2) return gather_products_sse2(P, r, ids, out);
-#else
-  (void)isa;
-#endif
-  gather_products_scalar(P, r, ids, out);
-}
-
 void suffix_sums_isa(Isa isa, std::span<const double> P,
                      std::span<const ItemId> ids, double* out) {
 #if SKP_SIMD_X86
@@ -274,11 +217,6 @@ double masked_time_sum_isa(Isa isa, std::span<const double> P,
   (void)isa;
 #endif
   return masked_time_sum_scalar(P, r, present);
-}
-
-void gather_products(std::span<const double> P, std::span<const double> r,
-                     std::span<const ItemId> ids, double* out) {
-  gather_products_isa(active_isa(), P, r, ids, out);
 }
 
 void suffix_sums(std::span<const double> P, std::span<const ItemId> ids,

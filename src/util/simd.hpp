@@ -1,11 +1,8 @@
 // Runtime-dispatched SIMD kernels for the solver/engine inner loops.
 //
-// Three kernels cover the contiguous-span hot loops the allocation-free
+// Two kernels cover the contiguous-span hot loops the allocation-free
 // refactor (PR 2) left in exactly the layout vectorization wants:
 //
-//   * gather_products   — the Eq.-5 density scan P_i * r_i over an id
-//                         list (victim ranking, canonical-key staging,
-//                         minimal-Pr scans);
 //   * suffix_sums       — the Figure-3 tail sums over a canonical row
 //                         (CanonicalOrderTable rebuilds, PaperTail solves,
 //                         batched SKP setup);
@@ -47,11 +44,6 @@ Isa active_isa() noexcept;
 // Widest ISA this CPU supports (ignores the SKP_SIMD override).
 Isa detected_isa() noexcept;
 
-// out[k] = P[ids[k]] * r[ids[k]] for k in [0, ids.size()).
-// `out` must hold ids.size() doubles and not alias P/r.
-void gather_products(std::span<const double> P, std::span<const double> r,
-                     std::span<const ItemId> ids, double* out);
-
 // Figure-3 tail sums: out[m] = 0, out[j] = out[j+1] + P[ids[j]] for
 // j = m-1 .. 0 (m = ids.size()); `out` must hold m + 1 doubles. The
 // gather is vectorized; the running sum is accumulated right-to-left in
@@ -68,9 +60,6 @@ double masked_time_sum(std::span<const double> P, std::span<const double> r,
 // Per-ISA entry points (same contracts), for the bit-identity tests and
 // the -march CI matrix. Calling an ISA the CPU lacks is undefined; guard
 // with detected_isa().
-void gather_products_isa(Isa isa, std::span<const double> P,
-                         std::span<const double> r,
-                         std::span<const ItemId> ids, double* out);
 void suffix_sums_isa(Isa isa, std::span<const double> P,
                      std::span<const ItemId> ids, double* out);
 double masked_time_sum_isa(Isa isa, std::span<const double> P,

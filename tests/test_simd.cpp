@@ -6,8 +6,8 @@
 //     elementwise work), including denormal inputs and zero-probability
 //     rows;
 //   * run_prefetch_cache_batch — each lockstep lane must equal
-//     run_prefetch_cache on that lane's config alone, metrics AND
-//     plan-cache counters.
+//     run_prefetch_cache on that lane's config alone (a one-lane run),
+//     metrics AND plan-cache counters.
 //
 // Everything here compares doubles through std::bit_cast: equality means
 // the same 64 bits, not "close".
@@ -83,20 +83,16 @@ TEST(SimdKernels, AllIsasMatchScalarOnRandomInputs) {
     const std::size_t m = rng.next_u64() % (n + 13);
     const KernelInput in = random_input(rng, n, m, /*denormals=*/rep % 2,
                                         /*zero_rows=*/rep % 3 == 0);
-    std::vector<double> ref_prod(m), ref_suf(m + 1);
-    simd::gather_products_isa(simd::Isa::Scalar, in.P, in.r, in.ids,
-                              ref_prod.data());
+    std::vector<double> ref_suf(m + 1);
     simd::suffix_sums_isa(simd::Isa::Scalar, in.P, in.ids, ref_suf.data());
     const double ref_mask =
         simd::masked_time_sum_isa(simd::Isa::Scalar, in.P, in.r, in.present);
 
     for (simd::Isa isa : testable_isas()) {
-      std::vector<double> prod(m), suf(m + 1);
-      simd::gather_products_isa(isa, in.P, in.r, in.ids, prod.data());
+      std::vector<double> suf(m + 1);
       simd::suffix_sums_isa(isa, in.P, in.ids, suf.data());
       const double mask = simd::masked_time_sum_isa(isa, in.P, in.r,
                                                     in.present);
-      expect_same_doubles(prod, ref_prod, simd::to_string(isa));
       expect_same_doubles(suf, ref_suf, simd::to_string(isa));
       EXPECT_EQ(bits(mask), bits(ref_mask)) << simd::to_string(isa);
     }
@@ -113,7 +109,6 @@ TEST(SimdKernels, EmptyAndAllZeroEdgeCases) {
     double sentinel = 42.0;
     simd::suffix_sums_isa(isa, P, {}, &sentinel);
     EXPECT_EQ(bits(sentinel), bits(0.0)) << simd::to_string(isa);
-    simd::gather_products_isa(isa, P, r, {}, nullptr);
     // All-zero P: every tail sum and the masked total are exactly 0.0.
     std::vector<double> suf(ids.size() + 1, -1.0);
     simd::suffix_sums_isa(isa, P, ids, suf.data());
@@ -126,11 +121,6 @@ TEST(SimdKernels, ActiveIsaMatchesScalarThroughPublicEntryPoints) {
   Rng rng(7);
   const KernelInput in = random_input(rng, 100, 40, /*denormals=*/true,
                                       /*zero_rows=*/true);
-  std::vector<double> got(in.ids.size()), ref(in.ids.size());
-  simd::gather_products(in.P, in.r, in.ids, got.data());
-  simd::gather_products_isa(simd::Isa::Scalar, in.P, in.r, in.ids,
-                            ref.data());
-  expect_same_doubles(got, ref, "active gather_products");
   EXPECT_EQ(bits(simd::masked_time_sum(in.P, in.r, in.present)),
             bits(simd::masked_time_sum_isa(simd::Isa::Scalar, in.P, in.r,
                                            in.present)));
@@ -235,6 +225,35 @@ TEST(BatchSim, DriftingLanesMatchSoloRuns) {
   for (std::size_t i = 0; i < configs.size(); ++i) {
     SCOPED_TRACE(testing::Message() << "lane " << i);
     expect_same_result(batch[i], run_prefetch_cache(configs[i]));
+  }
+}
+
+TEST(BatchSim, PredictorAndLookaheadLanesMatchSoloRuns) {
+  // Lanes that plan their own rows (learned predictors, lookahead blends)
+  // interleaved with batched oracle lanes, under every sub-arbitration
+  // and with the plan cache on and off: each lane is independent of its
+  // neighbours.
+  std::vector<PrefetchCacheConfig> configs(7, small_config());
+  configs[0].predictor = PredictorKind::Markov1;
+  configs[1].sub = SubArbitration::DS;
+  configs[2].predictor = PredictorKind::Ppm;
+  configs[2].sub = SubArbitration::LFU;
+  configs[3].lookahead_horizon = 3;
+  configs[4].lookahead_horizon = 3;
+  configs[4].sub = SubArbitration::DS;
+  configs[4].use_plan_cache = false;
+  configs[5].predictor = PredictorKind::Markov1;
+  configs[5].cache_size = 4;
+  configs[5].warmup = 400;
+  configs[6].policy = PrefetchPolicy::KP;
+  const std::vector<PrefetchCacheResult> batch =
+      run_prefetch_cache_batch(configs);
+  ASSERT_EQ(batch.size(), configs.size());
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    SCOPED_TRACE(testing::Message() << "lane " << i);
+    const PrefetchCacheResult solo = run_prefetch_cache(configs[i]);
+    expect_same_result(batch[i], solo);
+    EXPECT_GT(solo.metrics.prefetch_fetches, 0u);
   }
 }
 

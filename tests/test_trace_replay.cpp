@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "sim/runtime.hpp"
 #include "workload/markov_source.hpp"
 #include "workload/request_stream.hpp"
 
@@ -95,16 +96,22 @@ TEST(TraceReplay, PredictorKindsAllRun) {
 }
 
 TEST(TraceReplay, PlanCacheOnOffBitIdentical) {
-  // An always-learning predictor bumps the memo generation every request,
-  // so the wired plan cache must be all-miss — and exactly a no-op on
-  // every counter.
-  const Trace t = markov_trace(20, 1200, 9);
-  TraceReplayConfig on;
-  TraceReplayConfig off = on;
+  // Replay plans are never memoized (an always-learning predictor makes
+  // every plan depend on the whole history), so the spec's plan-cache
+  // switch leaves a trace_replay run exactly as it was, and it reports no
+  // memo counters either way.
+  SimSpec on;
+  on.driver = SimDriverKind::TraceReplay;
+  on.workload.n_items = 20;
+  on.requests = 1200;
+  on.seed = 9;
+  on.predictor = PredictorKind::Markov1;
+  SimSpec off = on;
   off.use_plan_cache = false;
-  PlanMemoStats stats_on, stats_off;
-  const SimMetrics a = replay_trace(t, on, &stats_on);
-  const SimMetrics b = replay_trace(t, off, &stats_off);
+  const SimResult ra = run_sim(on);
+  const SimResult rb = run_sim(off);
+  const SimMetrics& a = ra.metrics;
+  const SimMetrics& b = rb.metrics;
   EXPECT_EQ(a.hits, b.hits);
   EXPECT_EQ(a.demand_fetches, b.demand_fetches);
   EXPECT_EQ(a.prefetch_fetches, b.prefetch_fetches);
@@ -112,12 +119,8 @@ TEST(TraceReplay, PlanCacheOnOffBitIdentical) {
   EXPECT_EQ(a.solver_nodes, b.solver_nodes);
   EXPECT_DOUBLE_EQ(a.mean_access_time(), b.mean_access_time());
   EXPECT_DOUBLE_EQ(a.network_time, b.network_time);
-  EXPECT_EQ(stats_on.plans.hits, 0u);
-  EXPECT_GT(stats_on.plans.lookups(), 0u);
-  // The selection tier is never consulted here: its key would change
-  // with every observation.
-  EXPECT_EQ(stats_on.selections.lookups(), 0u);
-  EXPECT_EQ(stats_off.plans.lookups(), 0u);
+  EXPECT_EQ(ra.plan_cache.plans.lookups(), 0u);
+  EXPECT_EQ(ra.plan_cache.selections.lookups(), 0u);
 }
 
 TEST(TraceReplay, BiggerCacheHelps) {
