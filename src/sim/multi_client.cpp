@@ -33,7 +33,7 @@ struct Client {
   std::span<const TraceRecord> cycles;   // learned drive (view)
   std::span<const double> r;             // effective retrieval catalog (view)
   std::vector<double> P;                 // learned planning row
-  std::optional<SlotClient> slots;       // cache, frequency book, prefetches
+  std::optional<SlotClient> slots;       // cache, freq tracker, prefetch book
   Rng walk{0};
   std::size_t state = 0;
   std::size_t served = 0;

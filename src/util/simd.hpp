@@ -4,8 +4,7 @@
 // refactor (PR 2) left in exactly the layout vectorization wants:
 //
 //   * suffix_sums       — the Figure-3 tail sums over a canonical row
-//                         (CanonicalOrderTable rebuilds, PaperTail solves,
-//                         batched SKP setup);
+//                         (CanonicalOrderTable rebuilds, PaperTail solves);
 //   * masked_time_sum   — the presence-bitmap access-time accumulation
 //                         sum_{i not in C} P_i r_i (Section-5 expected
 //                         access time against a cache bitmap).

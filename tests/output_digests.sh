@@ -8,7 +8,8 @@
 #
 # Writes the fresh "<sha256>  <output>" lines to OUT_FILE (a temp file
 # when omitted), then exits 0 when they equal the committed digests and
-# 1 otherwise, naming every output that moved. Refresh the committed file
+# 1 otherwise, naming every output that moved. Exits 2, writing nothing,
+# when an output cannot be regenerated. Refresh the committed file
 # only through `tests/refresh_goldens.sh --apply` and record the refresh
 # in CHANGES.md.
 #
@@ -27,7 +28,7 @@
 #
 # The digests were recorded with GCC; ctest registers the check for GNU
 # builds only (clang output is unverified).
-set -euo pipefail
+set -Eeuo pipefail
 
 if [[ $# -lt 1 || $# -gt 2 ]]; then
   echo "usage: $0 BUILD_DIR [OUT_FILE]" >&2
@@ -49,6 +50,7 @@ done
 
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
+trap 'echo "error: regenerating the outputs failed" >&2; exit 2' ERR
 out="$tmp/outputs"
 mkdir -p "$out"
 
@@ -104,6 +106,7 @@ print_table "$build/tests/test_prefetch_cache_sim" \
 
 fresh="${2:-$tmp/digests}"
 (cd "$out" && sha256sum -- *) | sort -k2 > "$fresh"
+trap - ERR
 
 if [[ ! -f "$committed" ]]; then
   echo "error: $committed missing — create it with tests/refresh_goldens.sh --apply" >&2

@@ -17,7 +17,8 @@
 #               the only sanctioned digest refresh (record each refresh
 #               in CHANGES.md)
 #
-# BUILD_DIR defaults to "build" (must contain tests/test_scenario_matrix).
+# BUILD_DIR defaults to "build" (must contain tests/test_scenario_matrix;
+# a relative path is taken from the repository root).
 set -euo pipefail
 
 apply=0
@@ -28,13 +29,16 @@ fi
 build_dir="${1:-build}"
 
 root="$(cd "$(dirname "$0")/.." && pwd)"
-bin="$root/$build_dir/tests/test_scenario_matrix"
+# A relative BUILD_DIR is taken from the repository root.
+build="$build_dir"
+[[ "$build" == /* ]] || build="$root/$build_dir"
+bin="$build/tests/test_scenario_matrix"
 src="$root/tests/test_scenario_matrix.cpp"
 
 # Distinguish "never configured" from "configured but not built" so the
 # failure mode is never a bare pipeline abort under `set -o pipefail`.
-if [[ ! -d "$root/$build_dir" ]]; then
-  echo "error: build dir '$root/$build_dir' does not exist — configure and build first:" >&2
+if [[ ! -d "$build" ]]; then
+  echo "error: build dir '$build' does not exist — configure and build first:" >&2
   echo "  cmake -B $build_dir -S . && cmake --build $build_dir -j" >&2
   exit 2
 fi
@@ -84,8 +88,12 @@ fi
 digests="$root/tests/output_digests.sha256"
 tmp_digests="$(mktemp)"
 trap 'rm -f "$tmp_new" "$tmp_old" "$tmp_digests"' EXIT
-"$root/tests/output_digests.sh" "$root/$build_dir" "$tmp_digests" ||
-  status=1
+digests_rc=0
+"$root/tests/output_digests.sh" "$build" "$tmp_digests" || digests_rc=$?
+if [[ "$digests_rc" -gt 1 ]]; then
+  exit 2
+fi
+[[ "$digests_rc" == 0 ]] || status=1
 if [[ "$status" == 0 ]]; then
   exit 0
 fi
