@@ -42,7 +42,6 @@ std::unique_ptr<Predictor> make_predictor(PredictorKind kind,
   return nullptr;
 }
 
-// The engine config of one prefetch_cache lane.
 EngineConfig lane_engine_config(const PrefetchCacheConfig& c) {
   EngineConfig ecfg;
   ecfg.policy = c.policy;
