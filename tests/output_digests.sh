@@ -15,6 +15,10 @@
 #
 # The outputs:
 #   fig7_prefetch_cache.csv      reduced Figure-7 grid, --seed 3
+#   fig4*.csv, fig5*.csv         reduced Figure-4 scatter and Figure-5
+#                                curves, --seed 3
+#   prefetch_only_iid.csv        prefetch_only sweep: iid rows, KP and
+#                                SKP, three seeds
 #   ci_netsim_shard*.csv         tools/specs/ci_netsim_shard.json, whole
 #                                and as two shards merged back together
 #   drivers_<driver>.csv         tools/specs/digest_drivers.json (markov1,
@@ -22,7 +26,10 @@
 #                                trace_replay, prefetch_cache, netsim_des,
 #                                multi_client and scenario
 #   <variant>.csv                oracle/learned rows through the fault,
-#                                churn and sized-cache side paths
+#                                churn and sized-cache side paths, oracle
+#                                LFU/DS rows of the two DES drivers, and
+#                                scenario rows planned by the Figure-6
+#                                slot planner (--pr)
 #   golden_table.txt             DISABLED_PrintGoldenTable (297 rows)
 #   equivalence_table.txt        DISABLED_PrintEquivalenceTable
 #
@@ -40,6 +47,7 @@ committed="$root/tests/output_digests.sha256"
 
 simctl="$build/tools/simctl"
 for bin in "$simctl" "$build/bench/fig7_prefetch_cache" \
+           "$build/bench/fig5_prefetch_only" "$build/bench/fig4_scatter" \
            "$build/tests/test_scenario_matrix" \
            "$build/tests/test_prefetch_cache_sim"; do
   if [[ ! -x "$bin" ]]; then
@@ -54,7 +62,12 @@ trap 'echo "error: regenerating the outputs failed" >&2; exit 2' ERR
 out="$tmp/outputs"
 mkdir -p "$out"
 
-"$build/bench/fig7_prefetch_cache" --seed 3 --csv "$out" > /dev/null
+for fig in fig7_prefetch_cache fig5_prefetch_only fig4_scatter; do
+  "$build/bench/$fig" --seed 3 --csv "$out" > /dev/null
+done
+"$simctl" run --driver prefetch_only --workload iid --n-items 10 \
+  --policies kp,skp --seeds 1:3:1 --requests 2000 \
+  --csv "$out/prefetch_only_iid.csv" > /dev/null
 
 shard_spec="$root/tools/specs/ci_netsim_shard.json"
 "$simctl" run --spec "$shard_spec" --csv "$out/ci_netsim_shard.csv" \
@@ -91,6 +104,14 @@ run_drivers prefetch_cache_lfu_ds --driver prefetch_cache \
   --predictors oracle,markov1 --subs lfu,ds
 run_drivers prefetch_cache_sized --driver prefetch_cache \
   --predictors oracle --sized-capacity 120 --subs none,ds
+# Oracle LFU/DS rows of the DES drivers (plan memo on), and scenario rows
+# that plan through the Figure-6 slot planner.
+run_drivers netsim_des_lfu_ds --driver netsim_des --predictors oracle \
+  --subs lfu,ds --requests 1000
+run_drivers multi_client_lfu_ds --driver multi_client --clients 3 \
+  --predictors oracle --subs lfu,ds --requests 1000
+run_drivers scenario_pr --driver scenario --pr --predictor-warmup 32 \
+  --latency 2
 
 # gtest printers: keep the printed rows, drop the runner's banner and
 # timing lines.
