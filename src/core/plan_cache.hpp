@@ -6,7 +6,7 @@
 // determined by the current source state, so a completed plan is
 // reusable whenever the same (state, cache contents) pair recurs — which
 // is constantly under every stationary workload. Two substrates live
-// here; PrefetchEngine's plan*_cached overloads consume them via a
+// here; PrefetchEngine's cache-aware planners consume them via a
 // PlanMemo:
 //
 //  * PlanCache — a bounded, LRU-evicted map from (64-bit key, Zobrist
@@ -286,12 +286,12 @@ class CanonicalOrderTable {
   std::uint64_t generation_ = 1;
 };
 
-// Memoization context threaded through PrefetchEngine::plan*_cached. All
-// pointers optional: a default PlanMemo makes the cached overloads behave
-// exactly like their uncached counterparts. `state_key` must uniquely
-// identify the planning inputs (P, r, v) within the respective cache's
-// current generation — e.g. a Markov state id; when `canon` is set, it
-// doubles as the row index and must be < canon->n_states(). `plans` and
+// Memoization context threaded through PrefetchEngine's cache-aware
+// planners. All pointers optional: a default PlanMemo plans unmemoized,
+// with bit-identical results. `state_key` must uniquely identify the
+// planning inputs (P, r, v) within the respective cache's current
+// generation — e.g. a Markov state id; when `canon` is set, it doubles
+// as the row index and must be < canon->n_states(). `plans` and
 // `selections` must be distinct PlanCache instances (their fingerprints
 // hash different sets) built for the same engine config.
 struct PlanMemo {

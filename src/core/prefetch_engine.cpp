@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <type_traits>
 
 #include "cache/zobrist.hpp"
 #include "core/access_model.hpp"
@@ -243,6 +244,31 @@ std::uint64_t filter_canonical_candidates(
   return fp;
 }
 
+// The instance and cache must describe the same catalog: the candidate
+// filter, the victim ranking and the Eq.-(9) evaluation index P/r (and
+// the scratch mark array, sized to inst.n()) with cached item ids, so a
+// larger cache catalog would read — and mark — out of bounds.
+template <typename Cache>
+void check_catalog(InstanceView inst, const Cache& cache) {
+  SKP_REQUIRE(inst.n() == cache.presence().size(),
+              "catalog of " << inst.n() << " items vs cache catalog of "
+                            << cache.presence().size());
+}
+
+// The candidate filter's skip predicate per cache shape: an item already
+// held, or (byte-addressed cache) one larger than the whole cache.
+auto held_or_uncacheable(const SlotCache& cache) {
+  return [present = cache.presence()](ItemId id) {
+    return present[static_cast<std::size_t>(id)] != 0;
+  };
+}
+
+auto held_or_uncacheable(const SizedCache& cache) {
+  return [&cache](ItemId id) {
+    return cache.contains(id) || !cache.cacheable(id);
+  };
+}
+
 // Memoized payload transfer: PrefetchPlan IS-A StoredPlan, so replay and
 // store are slicing assignments (vector operator= reuses the
 // destination's capacity on both sides).
@@ -343,53 +369,6 @@ PrefetchPlan PrefetchEngine::plan(InstanceView inst,
   return out;
 }
 
-void PrefetchEngine::plan_cached(InstanceView inst, const PlanMemo& memo,
-                                 PlanScratch& scratch, PrefetchPlan& out,
-                                 std::optional<ItemId> oracle_next) const {
-  // Empty-cache planning has no cache fingerprint; 0 stands in (the key
-  // space is per-PlanCache, and a cache-aware caller always has a
-  // non-degenerate fingerprint from its SlotCache/SizedCache). Only the
-  // plan tier applies: with no cache the selection IS the plan.
-  if (memo.plans != nullptr && memoizable_policy()) {
-    SKP_REQUIRE(memo.plans->config_digest() == digest_,
-                "PlanCache built for a different engine config");
-    if (const StoredPlan* stored = memo.plans->find(memo.state_key, 0)) {
-      copy_plan(*stored, out);
-      return;
-    }
-    plan(inst, scratch, out, oracle_next);
-    if (StoredPlan* slot = memo.plans->insert(memo.state_key, 0)) {
-      copy_plan(out, *slot);
-    }
-    return;
-  }
-  plan(inst, scratch, out, oracle_next);
-}
-
-void PrefetchEngine::plan_with_cache(
-    InstanceView inst, const SlotCache& cache, const FreqTracker* freq,
-    PlanScratch& scratch, PrefetchPlan& out,
-    std::optional<ItemId> oracle_next,
-    std::span<const ItemId> positive_hint) const {
-  inst.validate_shape();
-  // The instance and cache must describe the same catalog: the victim
-  // ranking and Eq.-(9) evaluation below index P/r (and the scratch mark
-  // array, sized to inst.n()) with cached item ids, so a larger cache
-  // catalog would read — and mark — out of bounds.
-  const std::span<const char> present = cache.presence();
-  SKP_REQUIRE(inst.n() == present.size(),
-              "catalog of " << inst.n() << " items vs cache catalog of "
-                            << present.size());
-  viable_candidates_into(
-      inst,
-      [present](ItemId id) {
-        return present[static_cast<std::size_t>(id)] != 0;
-      },
-      config_.min_profit_threshold, scratch.candidates, positive_hint);
-  select_into(inst, scratch.candidates, oracle_next, scratch, out);
-  admit_slot_into(inst, cache, freq, scratch, out);
-}
-
 void PrefetchEngine::select_memoized(
     InstanceView inst, const PlanMemo& memo,
     std::optional<ItemId> oracle_next, PlanScratch& scratch,
@@ -420,16 +399,14 @@ void PrefetchEngine::select_memoized(
   }
 }
 
-void PrefetchEngine::plan_with_cache_cached(
-    InstanceView inst, const SlotCache& cache, const FreqTracker* freq,
+template <typename Cache>
+void PrefetchEngine::plan_memoized(
+    InstanceView inst, const Cache& cache, const FreqTracker* freq,
     const PlanMemo& memo, PlanScratch& scratch, PrefetchPlan& out,
     std::optional<ItemId> oracle_next,
     std::span<const ItemId> positive_hint) const {
   inst.validate_shape();
-  const std::span<const char> present = cache.presence();
-  SKP_REQUIRE(inst.n() == present.size(),
-              "catalog of " << inst.n() << " items vs cache catalog of "
-                            << present.size());
+  check_catalog(inst, cache);
   const bool memoized = memo.plans != nullptr && memoizable_policy();
   if (memoized) {
     SKP_REQUIRE(memo.plans->config_digest() == digest_,
@@ -447,27 +424,44 @@ void PrefetchEngine::plan_with_cache_cached(
     canonical = true;
     candidates_fp = filter_canonical_candidates(
         inst, memo.canon->row(memo.state_key, inst, positive_hint),
-        [present](ItemId id) {
-          return present[static_cast<std::size_t>(id)] != 0;
-        },
-        config_.min_profit_threshold, scratch.candidates, suffix);
+        held_or_uncacheable(cache), config_.min_profit_threshold,
+        scratch.candidates, suffix);
   } else {
-    viable_candidates_into(
-        inst,
-        [present](ItemId id) {
-          return present[static_cast<std::size_t>(id)] != 0;
-        },
-        config_.min_profit_threshold, scratch.candidates, positive_hint);
+    viable_candidates_into(inst, held_or_uncacheable(cache),
+                           config_.min_profit_threshold, scratch.candidates,
+                           positive_hint);
   }
   select_memoized(inst, memo, oracle_next, scratch, out, canonical, suffix,
                   candidates_fp);
-  admit_slot_into(inst, cache, freq, scratch, out);
+  if constexpr (std::is_same_v<Cache, SlotCache>) {
+    admit_slot_into(inst, cache, freq, scratch, out);
+  } else {
+    admit_sized_into(inst, cache, freq, scratch, out);
+  }
   if (memoized) {
     if (StoredPlan* slot =
             memo.plans->insert(memo.state_key, cache.fingerprint())) {
       copy_plan(out, *slot);
     }
   }
+}
+
+void PrefetchEngine::plan_with_cache(
+    InstanceView inst, const SlotCache& cache, const FreqTracker* freq,
+    const PlanMemo& memo, PlanScratch& scratch, PrefetchPlan& out,
+    std::optional<ItemId> oracle_next,
+    std::span<const ItemId> positive_hint) const {
+  plan_memoized(inst, cache, freq, memo, scratch, out, oracle_next,
+                positive_hint);
+}
+
+void PrefetchEngine::plan_with_sized_cache(
+    InstanceView inst, const SizedCache& cache, const FreqTracker* freq,
+    const PlanMemo& memo, PlanScratch& scratch, PrefetchPlan& out,
+    std::optional<ItemId> oracle_next,
+    std::span<const ItemId> positive_hint) const {
+  plan_memoized(inst, cache, freq, memo, scratch, out, oracle_next,
+                positive_hint);
 }
 
 void PrefetchEngine::plan_with_cache_batch(
@@ -477,7 +471,7 @@ void PrefetchEngine::plan_with_cache_batch(
   inst.validate_shape();
   SKP_REQUIRE(!positive_hint.empty(),
               "batched planning requires a positive-support hint");
-  // Per-lane progress through the plan_with_cache_cached stages. Kept in
+  // Per-lane progress through the plan_with_cache stages. Kept in
   // lane-local scalars (no per-call allocation on this hot path).
   enum : unsigned char { kStageDone, kStageAdmit, kStageSolve };
   const bool memoized = memoizable_policy();
@@ -487,10 +481,7 @@ void PrefetchEngine::plan_with_cache_batch(
   // the canonical row builds once and every later lane reuses it.
   for (PlanBatchLane& lane : lanes) {
     const SlotCache& cache = *lane.cache;
-    const std::span<const char> present = cache.presence();
-    SKP_REQUIRE(inst.n() == present.size(),
-                "catalog of " << inst.n() << " items vs cache catalog of "
-                              << present.size());
+    check_catalog(inst, cache);
     if (memoized && lane.memo.plans != nullptr) {
       SKP_REQUIRE(lane.memo.plans->config_digest() == digest_,
                   "PlanCache built for a different engine config");
@@ -507,10 +498,8 @@ void PrefetchEngine::plan_with_cache_batch(
     lane.suffix = {};
     lane.candidates_fp = filter_canonical_candidates(
         inst, lane.memo.canon->row(lane.memo.state_key, inst, positive_hint),
-        [present](ItemId id) {
-          return present[static_cast<std::size_t>(id)] != 0;
-        },
-        config_.min_profit_threshold, lane.scratch->candidates, lane.suffix);
+        held_or_uncacheable(cache), config_.min_profit_threshold,
+        lane.scratch->candidates, lane.suffix);
     lane.stage = kStageSolve;
   }
 
@@ -664,77 +653,8 @@ PrefetchPlan PrefetchEngine::plan_with_cache(
   inst.validate();
   PlanScratch scratch;
   PrefetchPlan out;
-  plan_with_cache(inst, cache, freq, scratch, out, oracle_next);
+  plan_with_cache(inst, cache, freq, PlanMemo{}, scratch, out, oracle_next);
   return out;
-}
-
-void PrefetchEngine::plan_with_sized_cache(
-    InstanceView inst, const SizedCache& cache, const FreqTracker* freq,
-    PlanScratch& scratch, PrefetchPlan& out,
-    std::optional<ItemId> oracle_next) const {
-  inst.validate_shape();
-  // Same catalog contract as the slot planner: cached ids index P/r and
-  // the scratch mark array (sized to inst.n()) below.
-  SKP_REQUIRE(inst.n() == cache.catalog_size(),
-              "catalog of " << inst.n() << " items vs cache catalog of "
-                            << cache.catalog_size());
-  viable_candidates_into(
-      inst,
-      [&cache](ItemId id) {
-        return cache.contains(id) || !cache.cacheable(id);
-      },
-      config_.min_profit_threshold, scratch.candidates);
-  select_into(inst, scratch.candidates, oracle_next, scratch, out);
-  admit_sized_into(inst, cache, freq, scratch, out);
-}
-
-void PrefetchEngine::plan_with_sized_cache_cached(
-    InstanceView inst, const SizedCache& cache, const FreqTracker* freq,
-    const PlanMemo& memo, PlanScratch& scratch, PrefetchPlan& out,
-    std::optional<ItemId> oracle_next,
-    std::span<const ItemId> positive_hint) const {
-  inst.validate_shape();
-  SKP_REQUIRE(inst.n() == cache.catalog_size(),
-              "catalog of " << inst.n() << " items vs cache catalog of "
-                            << cache.catalog_size());
-  const bool memoized = memo.plans != nullptr && memoizable_policy();
-  if (memoized) {
-    SKP_REQUIRE(memo.plans->config_digest() == digest_,
-                "PlanCache built for a different engine config");
-    if (const StoredPlan* stored =
-            memo.plans->find(memo.state_key, cache.fingerprint())) {
-      copy_plan(*stored, out);
-      return;
-    }
-  }
-  bool canonical = false;
-  std::span<const double> suffix;
-  std::optional<std::uint64_t> candidates_fp;
-  if (memo.canon != nullptr && !positive_hint.empty()) {
-    canonical = true;
-    candidates_fp = filter_canonical_candidates(
-        inst, memo.canon->row(memo.state_key, inst, positive_hint),
-        [&cache](ItemId id) {
-          return cache.contains(id) || !cache.cacheable(id);
-        },
-        config_.min_profit_threshold, scratch.candidates, suffix);
-  } else {
-    viable_candidates_into(
-        inst,
-        [&cache](ItemId id) {
-          return cache.contains(id) || !cache.cacheable(id);
-        },
-        config_.min_profit_threshold, scratch.candidates, positive_hint);
-  }
-  select_memoized(inst, memo, oracle_next, scratch, out, canonical, suffix,
-                  candidates_fp);
-  admit_sized_into(inst, cache, freq, scratch, out);
-  if (memoized) {
-    if (StoredPlan* slot =
-            memo.plans->insert(memo.state_key, cache.fingerprint())) {
-      copy_plan(out, *slot);
-    }
-  }
 }
 
 void PrefetchEngine::admit_sized_into(InstanceView inst,
@@ -810,7 +730,8 @@ PrefetchPlan PrefetchEngine::plan_with_sized_cache(
   inst.validate();
   PlanScratch scratch;
   PrefetchPlan out;
-  plan_with_sized_cache(inst, cache, freq, scratch, out, oracle_next);
+  plan_with_sized_cache(inst, cache, freq, PlanMemo{}, scratch, out,
+                        oracle_next);
   return out;
 }
 

@@ -16,15 +16,15 @@
 // P_f r_f order against minimal-Pr victims (Pr-arbitration), optionally
 // tie-breaking victims by LFU or delay-saving profit (sub-arbitration).
 //
-// Each planner comes in three forms: a convenience overload returning a
-// fresh PrefetchPlan, an allocation-free overload taking a PlanScratch
-// (every working buffer) plus an output plan to refill, and a *_cached
-// overload that additionally consults a PlanMemo (core/plan_cache.hpp)
-// for cross-request memoization and per-state canonical solve orders.
-// All three are bit-identical; sim hot loops use the memoized scratch
-// form so paper-scale sweeps (25M planning rounds for Figure 7) never
-// touch the allocator and never re-solve a recurring (state, cache)
-// pair.
+// Each cache shape (empty, slot, sized) has one allocation-free planner:
+// it takes a PlanScratch (every working buffer) and an output plan to
+// refill, and the cache-aware ones also take a PlanMemo
+// (core/plan_cache.hpp) for cross-request memoization and per-state
+// canonical solve orders — a default PlanMemo{} plans unmemoized, with
+// bit-identical results. A convenience overload per shape returns a
+// fresh PrefetchPlan. Sim hot loops pass their memo tiers, so paper-scale
+// sweeps (25M planning rounds for Figure 7) never touch the allocator and
+// never re-solve a recurring (state, cache) pair.
 #pragma once
 
 #include <cstdint>
@@ -77,7 +77,7 @@ struct PrefetchPlan : StoredPlan {
 
 // 64-bit digest of every EngineConfig field that influences planning.
 // A PlanCache is pinned to the digest of the engine that fills it; the
-// *_cached planners refuse to consult a cache built for another config.
+// planners refuse to consult a cache built for another config.
 std::uint64_t engine_config_digest(const EngineConfig& config);
 
 class PrefetchEngine {
@@ -110,8 +110,8 @@ class PrefetchEngine {
                                std::optional<ItemId> oracle_next
                                = std::nullopt) const;
   void plan_with_cache(InstanceView inst, const SlotCache& cache,
-                       const FreqTracker* freq, PlanScratch& scratch,
-                       PrefetchPlan& out,
+                       const FreqTracker* freq, const PlanMemo& memo,
+                       PlanScratch& scratch, PrefetchPlan& out,
                        std::optional<ItemId> oracle_next = std::nullopt,
                        std::span<const ItemId> positive_hint = {}) const;
 
@@ -128,54 +128,12 @@ class PrefetchEngine {
                                      std::optional<ItemId> oracle_next
                                      = std::nullopt) const;
   void plan_with_sized_cache(InstanceView inst, const SizedCache& cache,
-                             const FreqTracker* freq, PlanScratch& scratch,
-                             PrefetchPlan& out,
+                             const FreqTracker* freq, const PlanMemo& memo,
+                             PlanScratch& scratch, PrefetchPlan& out,
                              std::optional<ItemId> oracle_next
-                             = std::nullopt) const;
-
-  // ---- Memoized planning (core/plan_cache.hpp) --------------------------
-  // Each *_cached overload consults memo.plans (completed plans, keyed by
-  // state + cache fingerprint) before running the pipeline above — a hit
-  // copies the stored plan into `out` and solves nothing. On a plan-tier
-  // miss, memo.selections (keyed by state + candidate-set fingerprint)
-  // can still replay the solver stage, so only the cheap Figure-6
-  // admission runs; the selection tier is deliberately blind to the full
-  // cache set and to LFU/DS frequencies, which the solve does not read.
-  // When memo.canon is set (and, for the cache-aware planners, a
-  // positive hint identifies the support) even a full miss skips the
-  // per-solve Eq.-5 sort by filtering the precomputed per-state
-  // canonical order against the cache. With a default PlanMemo these are
-  // exactly the scratch overloads above. Results are bit-identical
-  // either way.
-  //
-  // Memoization requires the stored value to be a pure function of its
-  // key: the caller must bump memo.plans' generation whenever planning
-  // context outside (state_key, cache contents) changes — a learned
-  // predictor observing, or (under LFU/DS sub-arbitration) a frequency
-  // being recorded — and memo.selections' whenever (P, r, v) for a
-  // state_key changes (predictor observation only; frequencies never
-  // reach the solver). None-policy plans are trivially empty and
-  // Perfect-policy plans depend on the oracle item, so both bypass
-  // memoization entirely (consulting it would cost more than planning).
-  void plan_cached(InstanceView inst, const PlanMemo& memo,
-                   PlanScratch& scratch, PrefetchPlan& out,
-                   std::optional<ItemId> oracle_next = std::nullopt) const;
-  void plan_with_cache_cached(InstanceView inst, const SlotCache& cache,
-                              const FreqTracker* freq, const PlanMemo& memo,
-                              PlanScratch& scratch, PrefetchPlan& out,
-                              std::optional<ItemId> oracle_next
-                              = std::nullopt,
-                              std::span<const ItemId> positive_hint
-                              = {}) const;
-  void plan_with_sized_cache_cached(InstanceView inst,
-                                    const SizedCache& cache,
-                                    const FreqTracker* freq,
-                                    const PlanMemo& memo,
-                                    PlanScratch& scratch, PrefetchPlan& out,
-                                    std::optional<ItemId> oracle_next
-                                    = std::nullopt,
-                                    std::span<const ItemId> positive_hint
-                                    = {}) const;
+                             = std::nullopt,
+                             std::span<const ItemId> positive_hint
+                             = {}) const;
 
   // ---- Batched planning (lockstep cache-size sweeps) --------------------
   // One independent planning lane of plan_with_cache_batch: its own cache,
@@ -197,9 +155,9 @@ class PrefetchEngine {
 
   // Plans the SAME instance (state) against k independent cache lanes in
   // one call — the lockstep sweep's inner step. Per lane this is
-  // bit-identical to plan_with_cache_cached (the per-lane memo find /
-  // solve / insert order is preserved, so even the PlanCache stats
-  // match); the lanes share only the canonical-order row. Requires
+  // bit-identical to plan_with_cache (the per-lane memo find / solve /
+  // insert order is preserved, so even the PlanCache stats match); the
+  // lanes share only the canonical-order row. Requires
   // memo.canon set and a non-empty positive hint on every lane (the
   // batched path exists for the canonical-order fast path; the solo
   // planner handles the rest).
@@ -208,7 +166,43 @@ class PrefetchEngine {
                              std::optional<ItemId> oracle_next,
                              std::span<const ItemId> positive_hint) const;
 
+  // ---- The memo contract (both cache-aware planners) --------------------
+  // memo.plans (completed plans, keyed by state + cache fingerprint) is
+  // consulted first — a hit copies the stored plan into `out` and solves
+  // nothing. On a plan-tier miss, memo.selections (keyed by state +
+  // candidate-set fingerprint) can still replay the solver stage, so only
+  // the cheap admission runs; the selection tier is deliberately blind to
+  // the full cache set and to LFU/DS frequencies, which the solve does
+  // not read. When memo.canon is set and a positive hint identifies the
+  // support, even a full miss skips the per-solve Eq.-5 sort by filtering
+  // the precomputed per-state canonical order against the cache.
+  //
+  // Memoization requires the stored value to be a pure function of its
+  // key: the caller must bump memo.plans' generation whenever planning
+  // context outside (state_key, cache contents) changes, and
+  // memo.selections' whenever (P, r, v) for a state_key changes
+  // (predictor observation; frequencies never reach the solver).
+  // None-policy plans are trivially empty and Perfect-policy plans depend
+  // on the oracle item, so both bypass memoization entirely (consulting
+  // it would cost more than planning; see memoizable_policy below).
+  //
+  // The plans-tier rule: build a memo.plans tier only where this holds.
+  // A completed plan reads the LFU/DS victim scores, which move with
+  // every recorded request, so under sub-arbitration its generation would
+  // be bumped after every request and no lookup could ever hit. (The
+  // selection tier never reads frequencies and applies either way.)
+  bool plans_tier_applies() const noexcept {
+    return config_.arbitration.sub == SubArbitration::None;
+  }
+
  private:
+  // True when memoization applies under the current policy (None plans
+  // trivially, Perfect depends on the oracle item).
+  bool memoizable_policy() const noexcept {
+    return config_.policy != PrefetchPolicy::None &&
+           config_.policy != PrefetchPolicy::Perfect;
+  }
+
   // Runs the configured selector over `candidates`, refilling `out` with
   // the ordered F (solver buffers from `scratch`). `candidates_canonical`
   // promises the candidates are already in canonical (Eq. 5) order, so
@@ -220,7 +214,7 @@ class PrefetchEngine {
                    std::span<const double> suffix_prob = {}) const;
 
   // Selector stage over the staged candidates, replaying memo.selections
-  // when it can (see the *_cached contract above). `candidates_fp`, when
+  // when it can (see the memo contract above). `candidates_fp`, when
   // engaged, is the caller-precomputed Zobrist XOR of scratch.candidates
   // (e.g. derived from a CanonicalOrderTable row); otherwise it is
   // computed here.
@@ -232,6 +226,17 @@ class PrefetchEngine {
                        std::optional<std::uint64_t> candidates_fp
                        = std::nullopt) const;
 
+  // The memo skeleton of the two cache-aware planners (one instantiation
+  // per cache shape): plan-tier find, candidate staging (canonical row or
+  // viable scan), select_memoized, the shape's admission, plan-tier
+  // insert.
+  template <typename Cache>
+  void plan_memoized(InstanceView inst, const Cache& cache,
+                     const FreqTracker* freq, const PlanMemo& memo,
+                     PlanScratch& scratch, PrefetchPlan& out,
+                     std::optional<ItemId> oracle_next,
+                     std::span<const ItemId> positive_hint) const;
+
   // The Figure-6 admission pipelines, consuming the selector's proposal
   // in `out` (select_into / select_memoized must have run).
   void admit_slot_into(InstanceView inst, const SlotCache& cache,
@@ -240,13 +245,6 @@ class PrefetchEngine {
   void admit_sized_into(InstanceView inst, const SizedCache& cache,
                         const FreqTracker* freq, PlanScratch& scratch,
                         PrefetchPlan& out) const;
-
-  // True when memoization applies under the current policy (None plans
-  // trivially, Perfect depends on the oracle item).
-  bool memoizable_policy() const noexcept {
-    return config_.policy != PrefetchPolicy::None &&
-           config_.policy != PrefetchPolicy::Perfect;
-  }
 
   EngineConfig config_;
   std::uint64_t digest_;

@@ -11,7 +11,6 @@
 #include "predict/predictor.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/request_step.hpp"
-#include "sim/runtime.hpp"  // make_runtime_predictor
 #include "sim/session_store.hpp"
 #include "util/thread_pool.hpp"
 
@@ -49,7 +48,8 @@ struct Client {
   PrefetchPlan plan;
   // Per-client memoization (oracle clients only: chains — and so
   // states/orders — are private, and learned predictors change the
-  // planning row every observation, which no context key survives).
+  // planning row every observation, which no context key survives). The
+  // plans tier exists only where the engine's plans_tier_applies().
   std::optional<PlanCache> plans;
   std::optional<PlanCache> selections;
   std::optional<CanonicalOrderTable> canon;
@@ -157,8 +157,10 @@ MultiClientResult run_multi_client(const MultiClientConfig& cfg) {
       // phase alignment blends the viewing time by cycle INDEX, which
       // breaks that promise, so flash-crowd worlds plan unmemoized.
       if (cfg.use_plan_cache && cfg.phase_align == 0.0) {
-        cl.plans.emplace(engine.config_digest(), cfg.plan_cache_capacity,
-                         /*doorkeeper=*/true);
+        if (engine.plans_tier_applies()) {
+          cl.plans.emplace(engine.config_digest(), cfg.plan_cache_capacity,
+                           /*doorkeeper=*/true);
+        }
         cl.selections.emplace(engine.config_digest(),
                               cfg.plan_cache_capacity);
         cl.canon.emplace(n);
@@ -219,12 +221,6 @@ MultiClientResult run_multi_client(const MultiClientConfig& cfg) {
   for (std::size_t c = 0; c < cfg.n_clients; ++c) {
     clients[c] = store.find(c);
   }
-  // Oracle rows are static, so completed plans depend on evolving context
-  // only through LFU/DS victim scores (see the generation bump below);
-  // solver selections never do.
-  const bool volatile_plans =
-      cfg.engine.arbitration.sub != SubArbitration::None;
-
   // Herd schedule for flash crowds: one shared per-cycle viewing-time
   // sequence, drawn from its own stream (salt 999 — distinct from every
   // client's split(1000+c)) so enabling alignment never perturbs a client
@@ -339,7 +335,7 @@ MultiClientResult run_multi_client(const MultiClientConfig& cfg) {
       std::optional<ItemId> oracle;
       if (cfg.engine.policy == PrefetchPolicy::Perfect) oracle = next;
       engine.plan_with_cache(inst, cl.slots->cache, &cl.slots->freq,
-                             cl.scratch, cl.plan, oracle);
+                             PlanMemo{}, cl.scratch, cl.plan, oracle);
     } else {
       // Oracle drive: plan against the chain's ground-truth row, then
       // sample the next request.
@@ -358,15 +354,15 @@ MultiClientResult run_multi_client(const MultiClientConfig& cfg) {
       if (cfg.engine.policy == PrefetchPolicy::Perfect) oracle = next;
 
       PlanMemo memo;
-      if (cl.plans) {
-        memo.plans = &*cl.plans;
+      if (cl.selections) {
+        memo.plans = cl.plans ? &*cl.plans : nullptr;
         memo.selections = &*cl.selections;
         memo.canon = &*cl.canon;
         memo.state_key = cl.state;
       }
-      engine.plan_with_cache_cached(inst, cl.slots->cache, &cl.slots->freq,
-                                    memo, cl.scratch, cl.plan, oracle,
-                                    cl.chain->successors(cl.state));
+      engine.plan_with_cache(inst, cl.slots->cache, &cl.slots->freq, memo,
+                             cl.scratch, cl.plan, oracle,
+                             cl.chain->successors(cl.state));
     }
     const PrefetchPlan& plan = cl.plan;
     if (!plan.fetch.empty()) ++plans_fired;
@@ -403,7 +399,6 @@ MultiClientResult run_multi_client(const MultiClientConfig& cfg) {
         me.completion[Instance::idx(next)] = finish;
         T = finish - t_req;
       }
-      if (me.plans && volatile_plans) me.plans->bump_generation();
       if (me.predictor) me.predictor->observe(next);
       me.metrics.access_time.add(T);
       ++me.metrics.requests;
@@ -419,11 +414,13 @@ MultiClientResult run_multi_client(const MultiClientConfig& cfg) {
           Client& other = *other_p;
           if (other.plans) {
             other.plans->bump_generation();
-            other.selections->bump_generation();
             other.plans->set_admission_frozen(frozen);
-            other.selections->set_admission_frozen(frozen);
           }
-          if (other.canon) other.canon->invalidate_all();
+          if (other.selections) {
+            other.selections->bump_generation();
+            other.selections->set_admission_frozen(frozen);
+            other.canon->invalidate_all();
+          }
         }
       }
       ++me.served;
@@ -445,10 +442,8 @@ MultiClientResult run_multi_client(const MultiClientConfig& cfg) {
         if (me.predictor) {
           me.predictor = make_runtime_predictor(me.kind, me.r.size());
         }
-        if (me.plans) {
-          me.plans->bump_generation();
-          me.selections->bump_generation();
-        }
+        if (me.plans) me.plans->bump_generation();
+        if (me.selections) me.selections->bump_generation();
         ++churn_events;
         const double rejoin = t_end + me.churn_downtime;
         me.next_churn_at = rejoin + me.churn_period;
@@ -475,11 +470,11 @@ MultiClientResult run_multi_client(const MultiClientConfig& cfg) {
   for (const Client* cl : clients) {
     result.per_client.push_back(cl->metrics);
     result.aggregate.merge(cl->metrics);
-    if (cl->plans) {
-      // Counter sums, never overwrites: the merged hit-rate must be
-      // recomputable from summed hits/misses (a mean of per-client rates
-      // is wrong under skewed client loads).
-      result.plan_cache.plans.merge(cl->plans->stats());
+    // Counter sums, never overwrites: the merged hit-rate must be
+    // recomputable from summed hits/misses (a mean of per-client rates is
+    // wrong under skewed client loads).
+    if (cl->plans) result.plan_cache.plans.merge(cl->plans->stats());
+    if (cl->selections) {
       result.plan_cache.selections.merge(cl->selections->stats());
     }
   }

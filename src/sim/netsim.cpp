@@ -74,8 +74,10 @@ ClientSession::ClientSession(
 }
 
 void ClientSession::enable_plan_cache(std::size_t capacity) {
-  plan_cache_.emplace(engine_.config_digest(), capacity,
-                      /*doorkeeper=*/true);
+  if (engine_.plans_tier_applies()) {
+    plan_cache_.emplace(engine_.config_digest(), capacity,
+                        /*doorkeeper=*/true);
+  }
   selection_cache_.emplace(engine_.config_digest(), capacity);
 }
 
@@ -154,14 +156,14 @@ double ClientSession::request(ItemId item, double viewing_time,
   // planner never double-fetches an in-flight item; a request for such an
   // item waits for its completion).
   PlanMemo memo;
-  if (plan_cache_ && context_key) {
-    memo.plans = &*plan_cache_;
+  if (selection_cache_ && context_key) {
+    memo.plans = plan_cache_ ? &*plan_cache_ : nullptr;
     memo.selections = &*selection_cache_;
     memo.state_key = *context_key;
   }
   PrefetchPlan& plan = thread_plan();
-  engine_.plan_with_cache_cached(inst, client_.cache, &client_.freq, memo,
-                                 thread_plan_scratch(), plan, oracle_next);
+  engine_.plan_with_cache(inst, client_.cache, &client_.freq, memo,
+                          thread_plan_scratch(), plan, oracle_next);
   metrics_.solver_nodes += plan.solver_nodes;
   commit_plan(client_, plan, cat_->r, metrics_, /*counted=*/true,
               [&](ItemId f) {
@@ -212,13 +214,6 @@ double ClientSession::request(ItemId item, double viewing_time,
     T = finish - t_req;
   }
   run_until(t_req + T);
-
-  // Under LFU/DS sub-arbitration the recorded access changed victim
-  // scores, invalidating every stored plan that consulted them.
-  if (plan_cache_ &&
-      engine_.config().arbitration.sub != SubArbitration::None) {
-    plan_cache_->bump_generation();
-  }
   metrics_.access_time.add(T);
   ++metrics_.requests;
   if (T == 0.0) ++metrics_.hits;

@@ -108,30 +108,29 @@ class ClientSession {
 
   // Opts this session into cross-request plan memoization
   // (core/plan_cache.hpp). Cycles then planning under a `context_key`
-  // replay stored plans when the same (key, cache contents) pair recurs;
-  // the session bumps the generation itself whenever its frequency
-  // tracker invalidates LFU/DS-dependent plans. Results are bit-identical
-  // with or without (the memo key only ever stands in for identical
-  // planning inputs).
+  // replay stored solver selections when the same (key, candidate set)
+  // pair recurs, and stored plans when the same (key, cache contents)
+  // pair recurs. The plans tier is built only where the engine's
+  // plans_tier_applies() (no LFU/DS sub-arbitration, whose scores move
+  // with every request). Results are bit-identical with or without (the
+  // memo key only ever stands in for identical planning inputs).
   void enable_plan_cache(std::size_t capacity = PlanCache::kDefaultCapacity);
-  bool plan_cache_enabled() const noexcept { return plan_cache_.has_value(); }
-  // Retires every stored plan and selection (generation bump on both
-  // tiers). Callers whose context-key promise breaks — e.g. a drifting
+  bool plan_cache_enabled() const noexcept {
+    return selection_cache_.has_value();
+  }
+  // Retires every stored plan and selection (generation bump on each
+  // tier). Callers whose context-key promise breaks — e.g. a drifting
   // workload redrawing the rows behind its state keys — invoke this at
   // the changepoint; a no-op when the plan cache is disabled.
   void invalidate_plan_cache() noexcept {
-    if (plan_cache_) {
-      plan_cache_->bump_generation();
-      selection_cache_->bump_generation();
-    }
+    if (plan_cache_) plan_cache_->bump_generation();
+    if (selection_cache_) selection_cache_->bump_generation();
   }
-  // Both tiers' counters (zeros when the plan cache is disabled).
+  // Both tiers' counters (zeros for a tier that was not built).
   PlanMemoStats plan_cache_stats() const noexcept {
     PlanMemoStats stats;
-    if (plan_cache_) {
-      stats.plans = plan_cache_->stats();
-      stats.selections = selection_cache_->stats();
-    }
+    if (plan_cache_) stats.plans = plan_cache_->stats();
+    if (selection_cache_) stats.selections = selection_cache_->stats();
     return stats;
   }
 
@@ -146,13 +145,11 @@ class ClientSession {
   const FaultStats& fault_stats() const noexcept { return fault_stats_; }
 
   // Overload rung kStrictAdmission (core/overload.hpp): freeze or thaw
-  // plan-cache admission on both memo tiers. No-op while the plan cache
+  // plan-cache admission on every memo tier. No-op while the plan cache
   // is disabled.
   void set_plan_admission_frozen(bool frozen) noexcept {
-    if (plan_cache_) {
-      plan_cache_->set_admission_frozen(frozen);
-      selection_cache_->set_admission_frozen(frozen);
-    }
+    if (plan_cache_) plan_cache_->set_admission_frozen(frozen);
+    if (selection_cache_) selection_cache_->set_admission_frozen(frozen);
   }
 
   // Runs one cycle: think for `viewing_time` (prefetching meanwhile), then

@@ -24,23 +24,27 @@ const char* to_string(PredictorKind kind) {
   return "?";
 }
 
-namespace {
-
-std::unique_ptr<Predictor> make_predictor(PredictorKind kind,
-                                          std::size_t n) {
+std::unique_ptr<Predictor> make_runtime_predictor(PredictorKind kind,
+                                                  std::size_t n_items,
+                                                  double markov_prior) {
   switch (kind) {
-    case PredictorKind::Oracle: return nullptr;
     case PredictorKind::Markov1:
-      return std::make_unique<MarkovPredictor>(n, /*laplace=*/0.05);
-    case PredictorKind::Ppm:
-      return std::make_unique<PpmPredictor>(n, /*order=*/2);
-    case PredictorKind::DependencyWindow:
-      return std::make_unique<DependencyGraph>(n, /*window=*/2);
+      return std::make_unique<MarkovPredictor>(n_items, markov_prior);
     case PredictorKind::Lz78:
-      return std::make_unique<Lz78Predictor>(n);
+      return std::make_unique<Lz78Predictor>(n_items);
+    case PredictorKind::Ppm:
+      return std::make_unique<PpmPredictor>(n_items, /*order=*/2);
+    case PredictorKind::DependencyWindow:
+      return std::make_unique<DependencyGraph>(n_items, /*window=*/2);
+    default:
+      SKP_REQUIRE(false,
+                  "this pipeline needs a learned predictor "
+                  "(markov1 | lz78 | ppm | depgraph)");
   }
   return nullptr;
 }
+
+namespace {
 
 EngineConfig lane_engine_config(const PrefetchCacheConfig& c) {
   EngineConfig ecfg;
@@ -64,7 +68,10 @@ struct Lane {
       : cfg(c),
         engine(lane_engine_config(c)),
         client(n, c.cache_size),
-        predictor(make_predictor(c.predictor, n)),
+        predictor(c.predictor == PredictorKind::Oracle
+                      ? nullptr
+                      : make_runtime_predictor(c.predictor, n,
+                                               /*markov_prior=*/0.05)),
         result(res) {
     client.cache.key_order(c.sub, &client.freq, r);
     // Cross-request memoization (core/plan_cache.hpp). A tier's key sees
@@ -72,7 +79,8 @@ struct Lane {
     // rules the tier out, since a generation bumped every request never
     // hits:
     //   plans      — LFU/DS scores move after every request, and so
-    //                does a learned row: oracle lanes with sub=None;
+    //                does a learned row: oracle lanes where the engine's
+    //                plans_tier_applies();
     //   selections — a learned row changes every observation (the solve
     //                never reads frequencies): oracle lanes;
     //   canon      — needs the raw transition row, which lookahead
@@ -80,7 +88,7 @@ struct Lane {
     //                shared by the runner).
     // Drift changepoints bump every tier (see the request loop).
     if (c.use_plan_cache && !predictor) {
-      if (c.sub == SubArbitration::None) {
+      if (engine.plans_tier_applies()) {
         plans.emplace(engine.config_digest(), c.plan_cache_capacity,
                       /*doorkeeper=*/true);
       }
@@ -90,7 +98,7 @@ struct Lane {
 
   // Memoized oracle one-step lanes plan through plan_with_cache_batch
   // with the shared canonical-order table; every other lane plans its
-  // own row through plan_with_cache_cached.
+  // own row through plan_with_cache.
   bool batched() const {
     return cfg.use_plan_cache && !predictor && cfg.lookahead_horizon <= 1;
   }
@@ -234,10 +242,9 @@ std::vector<PrefetchCacheResult> run_lanes(
         memo.state_key = state;
         std::optional<ItemId> oracle;
         if (c.policy == PrefetchPolicy::Perfect) oracle = next;
-        lane.engine.plan_with_cache_cached(row, lane.client.cache,
-                                           &lane.client.freq, memo,
-                                           lane.scratch, lane.plan, oracle,
-                                           hint);
+        lane.engine.plan_with_cache(row, lane.client.cache,
+                                    &lane.client.freq, memo, lane.scratch,
+                                    lane.plan, oracle, hint);
       }
 
       const bool counted = req >= c.warmup;
@@ -338,14 +345,11 @@ PrefetchCacheResult run_prefetch_cache_sized(
   // fingerprint (oracle rows, so the canonical table always applies).
   PlanScratch scratch;
   PrefetchPlan plan;
-  // As in the slot runner: under LFU/DS the plan tier's generation would
-  // bump after every request, so the tier can never hit — skip it.
-  const bool volatile_plans = cfg.sub != SubArbitration::None;
   std::optional<PlanCache> plans;
   std::optional<PlanCache> selections;
   std::optional<CanonicalOrderTable> canon;
   if (cfg.use_plan_cache) {
-    if (!volatile_plans) {
+    if (engine.plans_tier_applies()) {
       plans.emplace(engine.config_digest(), cfg.plan_cache_capacity,
                     /*doorkeeper=*/true);
     }
@@ -369,9 +373,8 @@ PrefetchCacheResult run_prefetch_cache_sized(
     memo.selections = selections ? &*selections : nullptr;
     memo.canon = canon ? &*canon : nullptr;
     memo.state_key = state;
-    engine.plan_with_sized_cache_cached(inst, cache, &freq, memo, scratch,
-                                        plan, oracle,
-                                        source.successors(state));
+    engine.plan_with_sized_cache(inst, cache, &freq, memo, scratch, plan,
+                                 oracle, source.successors(state));
 
     // Realized access time against the pre-plan cache (computed before the
     // plan executes; see monte_carlo_step).

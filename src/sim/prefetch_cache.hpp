@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "core/prefetch_engine.hpp"
+#include "predict/predictor.hpp"
 #include "sim/metrics.hpp"
 #include "workload/markov_source.hpp"
 
@@ -31,6 +32,17 @@ namespace skp {
 enum class PredictorKind { Oracle, Markov1, Ppm, DependencyWindow, Lz78 };
 
 const char* to_string(PredictorKind kind);
+
+// The learned predictors, one construction shared by every driver:
+// markov1 (first-order counts with a Laplace prior of `markov_prior`),
+// ppm of order 2, depgraph over a window of 2, lz78. The drivers differ
+// only in markov1's prior: prefetch_cache and trace_replay use 0.05,
+// scenario / netsim_des / multi_client the default 0.1 (their golden
+// rows stay comparable with each other). Throws on Oracle (no learned
+// state).
+std::unique_ptr<Predictor> make_runtime_predictor(PredictorKind kind,
+                                                  std::size_t n_items,
+                                                  double markov_prior = 0.1);
 
 // Stream-derivation salts of run_prefetch_cache's seed layout: the
 // default entry point builds the source from Rng(seed), derives the walk

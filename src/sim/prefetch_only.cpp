@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <mutex>
-#include <optional>
 
 #include "core/access_model.hpp"
 #include "workload/request_stream.hpp"
@@ -29,14 +28,6 @@ void run_block(const PrefetchOnlyConfig& cfg, std::size_t count, Rng& rng,
   PlanScratch scratch;
   PrefetchPlan plan;
 
-  // Uniform memoization wiring; i.i.d. instances can never recur, so the
-  // per-iteration key guarantees all-miss (see PrefetchOnlyConfig).
-  std::optional<PlanCache> plans;
-  if (cfg.use_plan_cache) {
-    plans.emplace(engine_config_digest(ecfg), cfg.plan_cache_capacity,
-                  /*doorkeeper=*/true);
-  }
-
   // Residual transfer time intruding into the next viewing window
   // (stretch_intrudes extension only; stays 0 under the paper protocol).
   double carry = 0.0;
@@ -58,12 +49,7 @@ void run_block(const PrefetchOnlyConfig& cfg, std::size_t count, Rng& rng,
     const ItemId requested = sample_categorical(inst.P, rng);
 
     // Step 2: prefetch.
-    PlanMemo memo;
-    if (plans) {
-      memo.plans = &*plans;
-      memo.state_key = it;  // unique per iteration: instances are i.i.d.
-    }
-    engine.plan_cached(inst, memo, scratch, plan, requested);
+    engine.plan(inst, scratch, plan, requested);
 
     // Step 4: access time per Figure 2.
     const double T = realized_access_time(inst, plan.fetch, requested);
@@ -101,7 +87,6 @@ void run_block(const PrefetchOnlyConfig& cfg, std::size_t count, Rng& rng,
       result.scatter.emplace_back(v_drawn, T);
     }
   }
-  if (plans) result.plan_cache.merge(plans->stats());
 }
 
 void validate_config(const PrefetchOnlyConfig& cfg) {
@@ -150,7 +135,6 @@ PrefetchOnlyResult run_prefetch_only_parallel(const PrefetchOnlyConfig& cfg,
                     const std::lock_guard lk(merge_mu);
                     total.avg_T_by_v.merge(local.avg_T_by_v);
                     total.metrics.merge(local.metrics);
-                    total.plan_cache.merge(local.plan_cache);
                     for (const auto& pt : local.scatter) {
                       if (total.scatter.size() < cfg.scatter_limit) {
                         total.scatter.push_back(pt);

@@ -42,21 +42,14 @@ struct PrefetchOnlyConfig {
   // the *next* iteration's viewing time before planning — the carryover
   // the per-iteration analytic model ignores. false = paper protocol.
   bool stretch_intrudes = false;
-  // Plan memoization (core/plan_cache.hpp). This protocol redraws
-  // (P, r, v) i.i.d. every iteration, so no instance ever recurs and
-  // every lookup misses by construction — the wiring exists to keep the
-  // sim surface uniform and to measure the overhead bound (the honest
-  // all-miss stats flow into the result). Bit-identical on or off.
-  bool use_plan_cache = true;
-  std::size_t plan_cache_capacity = PlanCache::kDefaultCapacity;
+  // No plan memoization: this protocol redraws (P, r, v) i.i.d. every
+  // iteration, so no instance ever recurs and a memo could never hit.
 };
 
 struct PrefetchOnlyResult {
   // Average T conditioned on integer v — the Fig. 5 curves.
   BinnedMeans avg_T_by_v;
   SimMetrics metrics;
-  // Plan-memoization counters (all-miss by construction; see config).
-  PlanCacheStats plan_cache;
   // First `scatter_limit` raw samples — the Fig. 4 scatter.
   std::vector<std::pair<double, double>> scatter;
 

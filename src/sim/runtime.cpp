@@ -9,10 +9,6 @@
 #include "cache/cache.hpp"
 #include "cache/freq_tracker.hpp"
 #include "cache/replacement.hpp"
-#include "predict/dependency_graph.hpp"
-#include "predict/lz78_predictor.hpp"
-#include "predict/markov_predictor.hpp"
-#include "predict/ppm_predictor.hpp"
 #include "sim/grounded.hpp"
 #include "sim/multi_client.hpp"
 #include "sim/netsim.hpp"
@@ -27,29 +23,6 @@
 #include "workload/zipf_source.hpp"
 
 namespace skp {
-
-// The learned predictors of the scenario pipelines (same construction the
-// scenario matrix has always used; trace_replay keeps its own factory).
-// Shared with the multi_client driver so contention rows stay comparable
-// with scenario/netsim_des rows of the same config.
-std::unique_ptr<Predictor> make_runtime_predictor(PredictorKind kind,
-                                                  std::size_t n_items) {
-  switch (kind) {
-    case PredictorKind::Markov1:
-      return std::make_unique<MarkovPredictor>(n_items);
-    case PredictorKind::Lz78:
-      return std::make_unique<Lz78Predictor>(n_items);
-    case PredictorKind::Ppm:
-      return std::make_unique<PpmPredictor>(n_items, 2);
-    case PredictorKind::DependencyWindow:
-      return std::make_unique<DependencyGraph>(n_items, /*window=*/2);
-    default:
-      SKP_REQUIRE(false,
-                  "this pipeline needs a learned predictor "
-                  "(markov1 | lz78 | ppm | depgraph)");
-  }
-  return nullptr;
-}
 
 namespace {
 
@@ -149,13 +122,10 @@ SimResult run_prefetch_only_driver(const SimSpec& spec) {
   cfg.delta_rule = spec.delta_rule;
   cfg.iterations = spec.requests;
   cfg.seed = spec.seed;
-  cfg.use_plan_cache = spec.use_plan_cache;
-  cfg.plan_cache_capacity = spec.plan_cache_capacity;
 
   PrefetchOnlyResult res = run_prefetch_only(cfg);
   SimResult out;
   out.metrics = res.metrics;
-  out.plan_cache.plans = res.plan_cache;
   out.avg_T_by_v.emplace(std::move(res.avg_T_by_v));
   return out;
 }
@@ -194,8 +164,9 @@ PrefetchCacheConfig lower_prefetch_cache(const SimSpec& spec) {
   return cfg;
 }
 
-SimResult run_prefetch_cache_driver(const SimSpec& spec) {
-  const SimWorkload& w = spec.workload;
+// The prefetch_cache driver's checks, shared with run_sim_batch so a
+// spec the driver rejects throws there too.
+void check_prefetch_cache_spec(const SimSpec& spec) {
   SKP_REQUIRE(spec.predictor_warmup == 0,
               "prefetch_cache has no observe-only prefix; use warmup to "
               "exclude leading requests from metrics");
@@ -205,13 +176,20 @@ SimResult run_prefetch_cache_driver(const SimSpec& spec) {
   require_static_link(spec, "prefetch_cache");
   require_reliable_full_effort(spec, "prefetch_cache");
   if (spec.sized_capacity > 0.0) {
-    SKP_REQUIRE(w.kind == SimWorkloadKind::Markov,
+    SKP_REQUIRE(spec.workload.kind == SimWorkloadKind::Markov,
                 "the sized-cache experiment runs the Markov workload");
     SKP_REQUIRE(spec.predictor == PredictorKind::Oracle,
                 "the sized-cache experiment is oracle-mode only");
     SKP_REQUIRE(spec.min_profit_threshold == 0.0,
                 "the sized-cache experiment does not support "
                 "min_profit_threshold");
+  }
+}
+
+SimResult run_prefetch_cache_driver(const SimSpec& spec) {
+  const SimWorkload& w = spec.workload;
+  check_prefetch_cache_spec(spec);
+  if (spec.sized_capacity > 0.0) {
     SizedExperimentConfig cfg;
     cfg.source = to_markov_config(w);
     cfg.capacity = spec.sized_capacity;
@@ -364,7 +342,8 @@ SimResult run_scenario_driver(const SimSpec& spec) {
       if (mass > 0.0) {
         const InstanceView inst(scratch.P, r, v);
         if (spec.pr_planning) {
-          engine.plan_with_cache(inst, cache, &freq, scratch, plan);
+          engine.plan_with_cache(inst, cache, &freq, PlanMemo{}, scratch,
+                                 plan);
         } else {
           engine.plan(inst, scratch, plan);
         }
@@ -601,22 +580,14 @@ SimResult run_sim(const SimSpec& spec) {
 
 namespace {
 
-// A spec routes through run_prefetch_cache_batch when it lowers to the
-// plain slot-cache Monte Carlo over a seed-built Markov chain — the only
-// entry point the lockstep runner reproduces. Everything checked here is
-// a routing decision, not validation: a spec that fails these simply runs
-// through run_sim, which applies the driver's own REQUIREs.
-bool batchable_spec(const SimSpec& spec) {
-  return spec.driver == SimDriverKind::PrefetchCache &&
+// A prefetch_cache spec the driver accepts routes through
+// run_prefetch_cache_batch when it runs the slot cache over a seed-built
+// Markov chain — the runner's default entry point, which takes oracle,
+// learned-predictor and drifting lanes alike.
+bool lockstep_spec(const SimSpec& spec) {
+  return spec.sized_capacity == 0.0 &&
          (spec.workload.kind == SimWorkloadKind::Markov ||
-          spec.workload.kind == SimWorkloadKind::MarkovDrift) &&
-         spec.predictor == PredictorKind::Oracle &&
-         spec.predictor_warmup == 0 && spec.sized_capacity == 0.0 &&
-         spec.bandwidth == 1.0 && spec.latency == 0.0 && !spec.pr_planning &&
-         spec.replacement == ReplacementKind::LRU &&
-         spec.link_schedule.empty() && spec.fault == FaultSpec{} &&
-         spec.overload == OverloadConfig{} && spec.deadline == 0.0 &&
-         spec.multi_client == MultiClientSpec{};
+          spec.workload.kind == SimWorkloadKind::MarkovDrift);
 }
 
 bool same_batch_workload(const PrefetchCacheConfig& a,
@@ -636,7 +607,10 @@ std::vector<SimResult> run_sim_batch(std::span<const SimSpec> specs) {
   std::vector<SimResult> results(specs.size());
   std::vector<std::optional<PrefetchCacheConfig>> lowered(specs.size());
   for (std::size_t i = 0; i < specs.size(); ++i) {
-    if (batchable_spec(specs[i])) lowered[i] = lower_prefetch_cache(specs[i]);
+    if (specs[i].driver != SimDriverKind::PrefetchCache) continue;
+    check_common(specs[i]);
+    check_prefetch_cache_spec(specs[i]);
+    if (lockstep_spec(specs[i])) lowered[i] = lower_prefetch_cache(specs[i]);
   }
 
   std::size_t i = 0;
@@ -655,10 +629,7 @@ std::vector<SimResult> run_sim_batch(std::span<const SimSpec> specs) {
     }
     std::vector<PrefetchCacheConfig> cfgs;
     cfgs.reserve(j - i);
-    for (std::size_t k = i; k < j; ++k) {
-      check_common(specs[k]);
-      cfgs.push_back(*lowered[k]);
-    }
+    for (std::size_t k = i; k < j; ++k) cfgs.push_back(*lowered[k]);
     const std::vector<PrefetchCacheResult> batch =
         run_prefetch_cache_batch(cfgs);
     for (std::size_t k = i; k < j; ++k) {

@@ -288,13 +288,15 @@ const SimDriver* find_driver(std::string_view name);
 SimResult run_sim(const SimSpec& spec);
 
 // Batched dispatch: runs every spec, routing consecutive runs that share
-// one workload (prefetch_cache driver, oracle Markov/MarkovDrift, same
-// source shape/seed/requests/drift) through the lockstep
-// run_prefetch_cache_batch runner — the source is stepped once per
-// request for the whole group. Each result is bit-identical to run_sim
-// on that spec alone (the determinism contract is untouched; batching
-// only moves setup work), and specs the lockstep runner cannot take
-// simply run through run_sim. Results are returned in input order.
+// one workload (prefetch_cache driver, slot cache, Markov/MarkovDrift,
+// oracle or learned predictor, same source shape/seed/requests/drift)
+// through the lockstep run_prefetch_cache_batch runner — the source is
+// stepped once per request for the whole group. Each result is
+// bit-identical to run_sim on that spec alone (the determinism contract
+// is untouched; batching only moves setup work), and specs the lockstep
+// runner cannot take simply run through run_sim. A prefetch_cache spec
+// the driver rejects throws before anything runs. Results are returned
+// in input order.
 std::vector<SimResult> run_sim_batch(std::span<const SimSpec> specs);
 
 // ---- Stable string forms (CLI flags and CSV cells) ----------------------
@@ -329,12 +331,6 @@ struct MaterializedWorkload {
 MaterializedWorkload materialize_workload(const SimWorkload& workload,
                                           std::size_t requests, Rng& build,
                                           Rng& walk);
-
-// The learned predictors of the scenario pipelines, one construction
-// shared by the scenario / netsim_des / multi_client drivers so their
-// golden rows stay comparable. Throws on Oracle (no learned state).
-std::unique_ptr<Predictor> make_runtime_predictor(PredictorKind kind,
-                                                  std::size_t n_items);
 
 // ---- simctl substrate (sharding + CSV) ----------------------------------
 //

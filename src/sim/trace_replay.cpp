@@ -1,38 +1,14 @@
 #include "sim/trace_replay.hpp"
 
-#include "predict/dependency_graph.hpp"
-#include "predict/lz78_predictor.hpp"
-#include "predict/markov_predictor.hpp"
-#include "predict/ppm_predictor.hpp"
 #include "sim/request_step.hpp"
 
 namespace skp {
 
-namespace {
-
-std::unique_ptr<Predictor> make_trace_predictor(PredictorKind kind,
-                                                std::size_t n) {
-  switch (kind) {
-    case PredictorKind::Oracle:
-      SKP_REQUIRE(false, "trace replay has no oracle probabilities");
-      return nullptr;
-    case PredictorKind::Markov1:
-      return std::make_unique<MarkovPredictor>(n, 0.05);
-    case PredictorKind::Ppm:
-      return std::make_unique<PpmPredictor>(n, 2);
-    case PredictorKind::DependencyWindow:
-      return std::make_unique<DependencyGraph>(n, 2);
-    case PredictorKind::Lz78:
-      return std::make_unique<Lz78Predictor>(n);
-  }
-  return nullptr;
-}
-
-}  // namespace
-
 SimMetrics replay_trace(const Trace& trace, const TraceReplayConfig& cfg) {
   SKP_REQUIRE(!trace.empty(), "cannot replay an empty trace");
   SKP_REQUIRE(cfg.cache_size >= 1, "cache_size must be >= 1");
+  SKP_REQUIRE(cfg.predictor != PredictorKind::Oracle,
+              "trace replay has no oracle probabilities");
   const std::size_t n = trace.n_items();
 
   EngineConfig ecfg;
@@ -44,7 +20,8 @@ SimMetrics replay_trace(const Trace& trace, const TraceReplayConfig& cfg) {
 
   SlotClient client(n, cfg.cache_size);
   client.cache.key_order(cfg.sub, &client.freq, trace.retrieval_times());
-  auto predictor = make_trace_predictor(cfg.predictor, n);
+  auto predictor =
+      make_runtime_predictor(cfg.predictor, n, /*markov_prior=*/0.05);
 
   SimMetrics m;
   // Allocation-free replay loop: the instance borrows the trace's
@@ -62,7 +39,8 @@ SimMetrics replay_trace(const Trace& trace, const TraceReplayConfig& cfg) {
     }
     const InstanceView inst(scratch.P, trace.retrieval_times(),
                             rec.viewing_time);
-    engine.plan_with_cache(inst, client.cache, &client.freq, scratch, plan);
+    engine.plan_with_cache(inst, client.cache, &client.freq, PlanMemo{},
+                           scratch, plan);
 
     predictor->observe(rec.item);
     monte_carlo_step(client, inst, plan, rec.item, ecfg.arbitration, m,

@@ -78,62 +78,6 @@ std::vector<std::pair<double, double>> BinnedMeans::series() const {
   return out;
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(buckets)) {
-  SKP_REQUIRE(hi > lo, "Histogram range");
-  SKP_REQUIRE(buckets > 0, "Histogram needs at least one bucket");
-  counts_.assign(buckets, 0);
-}
-
-void Histogram::add(double x) noexcept {
-  ++total_;
-  if (x < lo_) {
-    ++underflow_;
-    ++counts_.front();
-    return;
-  }
-  if (x >= hi_) {
-    ++overflow_;
-    ++counts_.back();
-    return;
-  }
-  auto idx = static_cast<std::size_t>((x - lo_) / width_);
-  if (idx >= counts_.size()) idx = counts_.size() - 1;  // fp edge
-  ++counts_[idx];
-}
-
-std::uint64_t Histogram::bucket(std::size_t i) const {
-  SKP_REQUIRE(i < counts_.size(), "bucket index");
-  return counts_[i];
-}
-
-double Histogram::bucket_lo(std::size_t i) const {
-  SKP_REQUIRE(i < counts_.size(), "bucket index");
-  return lo_ + width_ * static_cast<double>(i);
-}
-
-double Histogram::bucket_hi(std::size_t i) const {
-  SKP_REQUIRE(i < counts_.size(), "bucket index");
-  return lo_ + width_ * static_cast<double>(i + 1);
-}
-
-double Histogram::quantile(double q) const {
-  SKP_REQUIRE(q >= 0.0 && q <= 1.0, "quantile in [0,1]");
-  if (total_ == 0) return lo_;
-  const double target = q * static_cast<double>(total_);
-  double cum = 0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const double next = cum + static_cast<double>(counts_[i]);
-    if (next >= target) {
-      const double frac =
-          counts_[i] ? (target - cum) / static_cast<double>(counts_[i]) : 0.0;
-      return bucket_lo(i) + frac * width_;
-    }
-    cum = next;
-  }
-  return hi_;
-}
-
 double quantile_sorted(std::span<const double> sorted, double q) {
   SKP_REQUIRE(!sorted.empty(), "quantile of empty sample");
   SKP_REQUIRE(q >= 0.0 && q <= 1.0, "quantile in [0,1]");

@@ -1,4 +1,4 @@
-// Statistics substrate: online accumulators, binned means, histograms and
+// Statistics substrate: online accumulators, binned means, summaries and
 // confidence intervals. Every experiment in bench/ reports through these.
 #pragma once
 
@@ -81,29 +81,6 @@ class BinnedMeans {
  private:
   std::int64_t lo_, hi_;
   std::vector<OnlineStats> bins_;
-};
-
-// Fixed-width histogram over [lo, hi); values outside are clamped into the
-// edge buckets and counted in underflow/overflow.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets);
-
-  void add(double x) noexcept;
-  std::size_t bucket_count() const noexcept { return counts_.size(); }
-  std::uint64_t bucket(std::size_t i) const;
-  std::uint64_t underflow() const noexcept { return underflow_; }
-  std::uint64_t overflow() const noexcept { return overflow_; }
-  std::uint64_t total() const noexcept { return total_; }
-  double bucket_lo(std::size_t i) const;
-  double bucket_hi(std::size_t i) const;
-  // Approximate quantile (q in [0,1]) by linear interpolation in buckets.
-  double quantile(double q) const;
-
- private:
-  double lo_, hi_, width_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t underflow_ = 0, overflow_ = 0, total_ = 0;
 };
 
 // Exact descriptive statistics over a stored sample.

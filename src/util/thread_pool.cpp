@@ -79,6 +79,9 @@ void parallel_chunks(ThreadPool& pool, std::size_t n, std::size_t chunks,
     futs.push_back(pool.submit([=, &body] { body(begin, end, c); }));
     begin = end;
   }
+  // Every chunk borrows `body`, so all of them must finish before the
+  // first exception unwinds the caller's frame.
+  for (auto& f : futs) f.wait();
   for (auto& f : futs) f.get();  // propagates the first exception
 }
 

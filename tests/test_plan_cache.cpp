@@ -1,6 +1,6 @@
 // Property tests for the plan-memoization subsystem: Zobrist cache
 // fingerprints, PlanCache LRU bounds/stats/generations, the per-state
-// CanonicalOrderTable, and the engine's *_cached overloads.
+// CanonicalOrderTable, and the engine's memoized cache-aware planners.
 #include "core/plan_cache.hpp"
 
 #include <gtest/gtest.h>
@@ -289,11 +289,11 @@ TEST(EnginePlanCached, HitReplaysThePlanBitForBit) {
 
   PlanScratch scratch;
   PrefetchPlan uncached, first, second;
-  engine.plan_with_cache(inst, cache, &freq, scratch, uncached);
-  engine.plan_with_cache_cached(inst, cache, &freq, memo, scratch, first,
-                                std::nullopt, hint);
-  engine.plan_with_cache_cached(inst, cache, &freq, memo, scratch, second,
-                                std::nullopt, hint);
+  engine.plan_with_cache(inst, cache, &freq, PlanMemo{}, scratch, uncached);
+  engine.plan_with_cache(inst, cache, &freq, memo, scratch, first,
+                         std::nullopt, hint);
+  engine.plan_with_cache(inst, cache, &freq, memo, scratch, second,
+                         std::nullopt, hint);
   EXPECT_EQ(plans.stats().misses, 1u);
   EXPECT_EQ(plans.stats().hits, 1u);
   for (const PrefetchPlan* p : {&first, &second}) {
@@ -308,9 +308,9 @@ TEST(EnginePlanCached, HitReplaysThePlanBitForBit) {
   // be replayed against the new contents.
   cache.replace(0, 2);
   PrefetchPlan third, fresh;
-  engine.plan_with_cache_cached(inst, cache, &freq, memo, scratch, third,
-                                std::nullopt, hint);
-  engine.plan_with_cache(inst, cache, &freq, scratch, fresh);
+  engine.plan_with_cache(inst, cache, &freq, memo, scratch, third,
+                         std::nullopt, hint);
+  engine.plan_with_cache(inst, cache, &freq, PlanMemo{}, scratch, fresh);
   EXPECT_EQ(plans.stats().misses, 2u);
   EXPECT_EQ(third.fetch, fresh.fetch);
   EXPECT_EQ(third.evict, fresh.evict);
@@ -329,8 +329,7 @@ TEST(EnginePlanCached, RejectsForeignConfigDigest) {
   PlanScratch scratch;
   PrefetchPlan out;
   EXPECT_THROW(
-      engine.plan_with_cache_cached(inst, cache, nullptr, memo, scratch,
-                                    out),
+      engine.plan_with_cache(inst, cache, nullptr, memo, scratch, out),
       std::invalid_argument);
 }
 
@@ -361,8 +360,8 @@ TEST(EnginePlanCached, SelectionTierSurvivesCacheChurn) {
 
   PlanScratch scratch;
   PrefetchPlan plan_a, plan_b, fresh_b;
-  engine.plan_with_cache_cached(inst, a, &freq, memo, scratch, plan_a);
-  engine.plan_with_cache_cached(inst, b, &freq, memo, scratch, plan_b);
+  engine.plan_with_cache(inst, a, &freq, memo, scratch, plan_a);
+  engine.plan_with_cache(inst, b, &freq, memo, scratch, plan_b);
   EXPECT_EQ(plans.stats().hits, 0u);
   EXPECT_EQ(plans.stats().misses, 2u);
   EXPECT_EQ(selections.stats().misses, 1u);
@@ -370,7 +369,7 @@ TEST(EnginePlanCached, SelectionTierSurvivesCacheChurn) {
 
   // The replayed selection must drive the exact plan a fresh solve
   // produces against cache b.
-  engine.plan_with_cache(inst, b, &freq, scratch, fresh_b);
+  engine.plan_with_cache(inst, b, &freq, PlanMemo{}, scratch, fresh_b);
   EXPECT_EQ(plan_b.fetch, fresh_b.fetch);
   EXPECT_EQ(plan_b.evict, fresh_b.evict);
   EXPECT_DOUBLE_EQ(plan_b.predicted_g, fresh_b.predicted_g);
@@ -400,10 +399,50 @@ TEST(EnginePlanCached, NoneAndPerfectBypassTheCache) {
     const PrefetchEngine engine(cfg);
     PlanCache plans(engine.config_digest(), 4);
     PlanMemo memo{&plans, nullptr, 0};
-    engine.plan_with_cache_cached(inst, cache, &freq, memo, scratch, out,
-                                  ItemId{1});
+    engine.plan_with_cache(inst, cache, &freq, memo, scratch, out,
+                           ItemId{1});
     EXPECT_EQ(plans.stats().lookups(), 0u) << to_string(policy);
     EXPECT_EQ(plans.size(), 0u) << to_string(policy);
+  }
+}
+
+TEST(EnginePlanCached, SizedPlannerReplaysThroughTheSameTiers) {
+  // The byte-addressed planner runs the slot planner's memo skeleton: a
+  // recurring (state, cache contents) pair replays the stored plan, and
+  // a default PlanMemo plans the same result unmemoized.
+  Instance inst;
+  inst.P = {0.0, 0.3, 0.1, 0.0, 0.25, 0.15, 0.2};
+  inst.r = {5, 3, 7, 2, 3, 7, 4};
+  inst.v = 8;
+  SizedCache cache({2.0, 1.0, 3.0, 2.0, 1.0, 2.0, 1.0}, 5.0);
+  cache.insert(0);
+  cache.insert(3);
+  FreqTracker freq(7);
+
+  const PrefetchEngine engine(EngineConfig{});
+  PlanCache plans(engine.config_digest(), 16);
+  PlanCache selections(engine.config_digest(), 16);
+  CanonicalOrderTable canon(1);
+  const std::vector<ItemId> hint = {1, 2, 4, 5, 6};
+  PlanMemo memo{&plans, &selections, &canon, 0};
+
+  PlanScratch scratch;
+  PrefetchPlan unmemoized, first, second;
+  engine.plan_with_sized_cache(inst, cache, &freq, PlanMemo{}, scratch,
+                               unmemoized);
+  engine.plan_with_sized_cache(inst, cache, &freq, memo, scratch, first,
+                               std::nullopt, hint);
+  engine.plan_with_sized_cache(inst, cache, &freq, memo, scratch, second,
+                               std::nullopt, hint);
+  EXPECT_EQ(plans.stats().misses, 1u);
+  EXPECT_EQ(plans.stats().hits, 1u);
+  EXPECT_EQ(selections.stats().misses, 1u);
+  EXPECT_FALSE(unmemoized.fetch.empty());
+  for (const PrefetchPlan* p : {&first, &second}) {
+    EXPECT_EQ(p->fetch, unmemoized.fetch);
+    EXPECT_EQ(p->evict, unmemoized.evict);
+    EXPECT_DOUBLE_EQ(p->stretch, unmemoized.stretch);
+    EXPECT_EQ(p->solver_nodes, unmemoized.solver_nodes);
   }
 }
 

@@ -9,6 +9,7 @@
 #include "sim/prefetch_cache.hpp"
 #include "sim/prefetch_only.hpp"
 #include "sim/runtime.hpp"
+#include "sim/skpd_protocol.hpp"
 #include "sim/trace_replay.hpp"
 
 namespace skp {
@@ -536,6 +537,100 @@ TEST(SimRuntime, InvalidSpecsAreRejected) {
   scenario_oracle.predictor = PredictorKind::Oracle;
   scenario_oracle.workload.n_items = 24;
   EXPECT_THROW(run_sim(scenario_oracle), std::invalid_argument);
+}
+
+// Every field of `r` but its memo counters, in the key=value result form
+// (multi_client's per-client rows one by one).
+std::vector<std::string> encode_without_memo(SimResult r) {
+  r.plan_cache = {};
+  std::vector<std::string> out;
+  for (const SimMetrics& m : r.per_client) {
+    SimResult row;
+    row.metrics = m;
+    out.push_back(encode_sim_result(row));
+  }
+  r.per_client.clear();
+  out.push_back(encode_sim_result(r));
+  return out;
+}
+
+TEST(SimRuntime, DesOracleSubArbitrationMemoizesSelectionsOnly) {
+  // Under LFU/DS a completed plan reads victim scores that move with
+  // every request, so neither DES driver builds a plans tier there; the
+  // selection tier still replays, and every non-memo field equals the
+  // memo-off run.
+  SimSpec netsim;
+  netsim.driver = SimDriverKind::NetsimDes;
+  netsim.cache_size = 20;
+  netsim.requests = 1'500;
+  netsim.seed = 8;
+  for (const SimSpec& base : {netsim, quick_multi_client_spec()}) {
+    for (const SubArbitration sub :
+         {SubArbitration::LFU, SubArbitration::DS}) {
+      SimSpec spec = base;
+      spec.sub = sub;
+      const SimResult on = run_sim(spec);
+      spec.use_plan_cache = false;
+      const SimResult off = run_sim(spec);
+      const std::string label =
+          std::string(to_string(spec.driver)) + "/" + sub_token(sub);
+      EXPECT_EQ(on.plan_cache.plans.lookups(), 0u) << label;
+      EXPECT_GT(on.plan_cache.selections.hits, 0u) << label;
+      EXPECT_EQ(off.plan_cache.selections.lookups(), 0u) << label;
+      EXPECT_EQ(encode_without_memo(on), encode_without_memo(off))
+          << label;
+    }
+  }
+}
+
+TEST(SimBatch, MixedLanesMatchRunSimSpecBySpec) {
+  // Oracle and learned lanes under every sub-arbitration, a drifting
+  // workload, and a sized spec the lockstep runner does not take: each
+  // batched result must equal its solo run_sim, field for field.
+  SimSpec base;
+  base.driver = SimDriverKind::PrefetchCache;
+  base.cache_size = 10;
+  base.requests = 1'200;
+  base.seed = 5;
+  SimSpec drift = base;
+  drift.workload.kind = SimWorkloadKind::MarkovDrift;
+  drift.workload.drift_period = 400;
+  std::vector<SimSpec> specs;
+  for (const SimSpec& workload : {base, drift}) {
+    for (const PredictorKind predictor :
+         {PredictorKind::Oracle, PredictorKind::Markov1,
+          PredictorKind::Ppm}) {
+      for (const SubArbitration sub :
+           {SubArbitration::None, SubArbitration::LFU, SubArbitration::DS}) {
+        SimSpec spec = workload;
+        spec.predictor = predictor;
+        spec.sub = sub;
+        specs.push_back(spec);
+      }
+    }
+  }
+  SimSpec sized = base;
+  sized.sized_capacity = 60.0;
+  specs.insert(specs.begin() + 4, sized);
+
+  const std::vector<SimResult> batch = run_sim_batch(specs);
+  ASSERT_EQ(batch.size(), specs.size());
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    EXPECT_EQ(encode_sim_result(batch[i]),
+              encode_sim_result(run_sim(specs[i])))
+        << "spec " << i;
+  }
+}
+
+TEST(SimBatch, RejectsWhatTheDriverRejects) {
+  SimSpec ok;
+  ok.driver = SimDriverKind::PrefetchCache;
+  ok.requests = 200;
+  SimSpec bad = ok;
+  bad.bandwidth = 2.0;
+  EXPECT_THROW(run_sim(bad), std::invalid_argument);
+  const std::vector<SimSpec> specs = {ok, bad};
+  EXPECT_THROW(run_sim_batch(specs), std::invalid_argument);
 }
 
 // ---- simctl substrate ---------------------------------------------------

@@ -136,55 +136,6 @@ TEST(BinnedMeans, MergeRangeMismatchThrows) {
   EXPECT_THROW(a.merge(b), std::invalid_argument);
 }
 
-TEST(Histogram, RequiresValidConstruction) {
-  EXPECT_THROW(Histogram(1.0, 1.0, 4), std::invalid_argument);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
-}
-
-TEST(Histogram, CountsIntoBuckets) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(0.5);
-  h.add(5.5);
-  h.add(5.6);
-  h.add(9.99);
-  EXPECT_EQ(h.bucket(0), 1u);
-  EXPECT_EQ(h.bucket(5), 2u);
-  EXPECT_EQ(h.bucket(9), 1u);
-  EXPECT_EQ(h.total(), 4u);
-}
-
-TEST(Histogram, UnderOverflowClamped) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(-1.0);
-  h.add(100.0);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 1u);
-  EXPECT_EQ(h.bucket(0), 1u);
-  EXPECT_EQ(h.bucket(4), 1u);
-}
-
-TEST(Histogram, BucketEdges) {
-  Histogram h(0.0, 10.0, 5);
-  EXPECT_DOUBLE_EQ(h.bucket_lo(0), 0.0);
-  EXPECT_DOUBLE_EQ(h.bucket_hi(0), 2.0);
-  EXPECT_DOUBLE_EQ(h.bucket_lo(4), 8.0);
-  EXPECT_DOUBLE_EQ(h.bucket_hi(4), 10.0);
-}
-
-TEST(Histogram, QuantileApproximatesUniform) {
-  Histogram h(0.0, 1.0, 100);
-  Rng rng(3);
-  for (int i = 0; i < 100000; ++i) h.add(rng.next_double());
-  EXPECT_NEAR(h.quantile(0.5), 0.5, 0.02);
-  EXPECT_NEAR(h.quantile(0.9), 0.9, 0.02);
-}
-
-TEST(Histogram, QuantileRejectsOutOfRange) {
-  Histogram h(0.0, 1.0, 10);
-  EXPECT_THROW(h.quantile(-0.1), std::invalid_argument);
-  EXPECT_THROW(h.quantile(1.1), std::invalid_argument);
-}
-
 TEST(QuantileSorted, ExactOnSmallSample) {
   const std::vector<double> v{1.0, 2.0, 3.0, 4.0, 5.0};
   EXPECT_DOUBLE_EQ(quantile_sorted(v, 0.0), 1.0);
