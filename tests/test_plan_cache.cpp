@@ -406,45 +406,5 @@ TEST(EnginePlanCached, NoneAndPerfectBypassTheCache) {
   }
 }
 
-TEST(EnginePlanCached, SizedPlannerReplaysThroughTheSameTiers) {
-  // The byte-addressed planner runs the slot planner's memo skeleton: a
-  // recurring (state, cache contents) pair replays the stored plan, and
-  // a default PlanMemo plans the same result unmemoized.
-  Instance inst;
-  inst.P = {0.0, 0.3, 0.1, 0.0, 0.25, 0.15, 0.2};
-  inst.r = {5, 3, 7, 2, 3, 7, 4};
-  inst.v = 8;
-  SizedCache cache({2.0, 1.0, 3.0, 2.0, 1.0, 2.0, 1.0}, 5.0);
-  cache.insert(0);
-  cache.insert(3);
-  FreqTracker freq(7);
-
-  const PrefetchEngine engine(EngineConfig{});
-  PlanCache plans(engine.config_digest(), 16);
-  PlanCache selections(engine.config_digest(), 16);
-  CanonicalOrderTable canon(1);
-  const std::vector<ItemId> hint = {1, 2, 4, 5, 6};
-  PlanMemo memo{&plans, &selections, &canon, 0};
-
-  PlanScratch scratch;
-  PrefetchPlan unmemoized, first, second;
-  engine.plan_with_sized_cache(inst, cache, &freq, PlanMemo{}, scratch,
-                               unmemoized);
-  engine.plan_with_sized_cache(inst, cache, &freq, memo, scratch, first,
-                               std::nullopt, hint);
-  engine.plan_with_sized_cache(inst, cache, &freq, memo, scratch, second,
-                               std::nullopt, hint);
-  EXPECT_EQ(plans.stats().misses, 1u);
-  EXPECT_EQ(plans.stats().hits, 1u);
-  EXPECT_EQ(selections.stats().misses, 1u);
-  EXPECT_FALSE(unmemoized.fetch.empty());
-  for (const PrefetchPlan* p : {&first, &second}) {
-    EXPECT_EQ(p->fetch, unmemoized.fetch);
-    EXPECT_EQ(p->evict, unmemoized.evict);
-    EXPECT_DOUBLE_EQ(p->stretch, unmemoized.stretch);
-    EXPECT_EQ(p->solver_nodes, unmemoized.solver_nodes);
-  }
-}
-
 }  // namespace
 }  // namespace skp
